@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, linalg, montecarlo, pointer, textout
+from . import __version__, montecarlo, pointer, textout
 from .errors import InputError, NumericalGuardError, PhysicsUndefinedError, SweepSpecError
 from .scenarios import Scenario, resolve, serialize_scenario, with_overrides
 
@@ -193,7 +193,7 @@ def _header(scenario: Scenario, command: str, extras: dict | None = None) -> dic
 
 def _weak_value_facts(scenario: Scenario) -> dict:
     wv = scenario.weak_value
-    eig = linalg.eig_hermitian(scenario.operator)
+    eig = scenario.eigen
     low = float(eig.eigenvalues[0])
     high = float(eig.eigenvalues[-1])
     tol = 1e-9 * max(1.0, high - low)

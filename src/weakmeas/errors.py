@@ -3,7 +3,7 @@
 Three broad classes, mirrored by the CLI exit codes: bad input (dimension
 mismatches, malformed scenario files, unusable parameters), physically
 undefined requests (orthogonal selection, impossible post-selection), and
-numerical guard trips (grid too small, iteration caps).
+numerical guard trips (grid too small, eigensolver failure).
 """
 
 from __future__ import annotations
@@ -60,4 +60,4 @@ class GridGuardError(NumericalGuardError):
 
 
 class ConvergenceError(NumericalGuardError):
-    """An iterative routine failed to converge within its iteration cap."""
+    """LAPACK's Hermitian eigensolver (numpy.linalg.eigh) did not converge."""

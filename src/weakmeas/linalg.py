@@ -6,7 +6,6 @@ are square complex ndarrays. Functions never mutate their arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ MAX_TENSOR_DIM = 2**24
 HERMITIAN_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 PHASE_TOL = 1e-12
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_SWEEP_CAP = 100
 
 
 def as_vector(v) -> np.ndarray:
@@ -30,7 +27,7 @@ def as_vector(v) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a 1-D amplitude vector of dimension >= 1, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("amplitude vector contains NaN or Inf entries")
     return arr
 
@@ -44,14 +41,14 @@ def as_operator(m) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator dimension {arr.shape[0]} exceeds the supported cap {MAX_DIM}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("operator matrix contains NaN or Inf entries")
     return arr
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = as_operator(m)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise NonHermitianError(f"max |M - M^dagger| = {defect:.3e} exceeds {tol:.1e}")
     return m
@@ -150,30 +147,21 @@ class EigenDecomposition:
 
 
 def _phase_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Fix the global phase of each column: first component with magnitude
-    above PHASE_TOL is made real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        if idx.size:
-            z = col[idx[0]]
-            out[:, k] = col * (z.conjugate() / abs(z))
-    return out
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    """Fix the global phase of each unit column: first component with
+    magnitude above PHASE_TOL (one exists, since dim <= MAX_DIM) is made
+    real positive."""
+    first = np.argmax(np.abs(vectors) > PHASE_TOL, axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return vectors * (lead.conj() / np.abs(lead))
 
 
 def eig_hermitian(m) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix.
 
-    Sweeps over all (p, q) pairs, each time applying the complex rotation
-    that zeroes the (p, q) entry, until the off-diagonal Frobenius norm
-    drops below JACOBI_OFFDIAG_TOL relative to the input scale. Quadratic
-    terminal convergence; the sweep cap only trips on pathological input.
+    A matrix whose off-diagonal entries are all exactly zero is read off
+    directly: the real parts of its diagonal in stable ascending order, with
+    the matching identity columns as eigenvectors. Any other matrix goes to
+    numpy.linalg.eigh (LAPACK); a LAPACK failure raises ConvergenceError.
 
     Returns
     -------
@@ -183,56 +171,18 @@ def eig_hermitian(m) -> EigenDecomposition:
     """
     m = require_hermitian(m)
     n = m.shape[0]
-    a = 0.5 * (m + m.conj().T)  # exact Hermitian symmetrization
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = JACOBI_OFFDIAG_TOL * scale
-    skip = 1e-300
-
-    for sweep in range(JACOBI_SWEEP_CAP + 1):
-        if _offdiag_norm(a) <= target:
-            break
-        if sweep == JACOBI_SWEEP_CAP:
-            raise ConvergenceError(
-                f"Jacobi diagonalization did not converge in {JACOBI_SWEEP_CAP} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                if abs(beta) <= skip:
-                    continue
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                phase = beta / abs(beta)
-                theta = 0.5 * math.atan2(2.0 * abs(beta), alpha - gamma)
-                c = math.cos(theta)
-                s = math.sin(theta)
-
-                # A <- U^dagger A U with U acting on coordinates (p, q):
-                #   U e_p = c e_p + s conj(phase) e_q
-                #   U e_q = -s phase e_p + c e_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * phase.conjugate() * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * phase.conjugate() * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p + s * phase.conjugate() * vcol_q
-                v[:, q] = -s * phase * vcol_p + c * vcol_q
-
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    eigenvectors = _phase_normalize(v[:, order])
+    diagonal = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        order = np.argsort(diagonal.real, kind="stable")
+        eigenvalues = diagonal.real[order]
+        eigenvectors = np.zeros((n, n), dtype=complex)
+        eigenvectors[order, np.arange(n)] = 1.0
+    else:
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+        eigenvectors = _phase_normalize(eigenvectors)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -245,7 +245,8 @@ def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> Point
     """Width-delta Gaussian pointer state centered at ``center``.
 
     Requires at least 8*delta of grid on each side of the center so that
-    boundary amplitudes are negligible; narrower grids raise GridGuardError.
+    boundary amplitudes are negligible, and a spacing fine enough that the
+    samples are normalized within NORM_TOL; otherwise raises GridGuardError.
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise InputError(f"delta must be positive, got {delta}")
@@ -258,7 +259,13 @@ def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> Point
         )
     q = grid.points
     samples = (delta**2 * pi) ** (-0.25) * np.exp(-((q - center) ** 2) / (2.0 * delta**2))
-    return PointerState(grid, samples)
+    try:
+        return PointerState(grid, samples)
+    except InputError as exc:  # finite samples of the grid's size fail only the norm check
+        raise GridGuardError(
+            f"grid spacing {grid.spacing:.6g} undersamples the width-{delta} Gaussian "
+            f"({exc}); raise the grid size (--grid-n)"
+        ) from exc
 
 
 def _density_total(grid: PointerGrid, rho: np.ndarray, weight: float) -> float:
@@ -411,13 +418,18 @@ def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
         If any translation g*o exceeds a quarter of the grid extent, where
         the periodic wrap-around would fold the packet back into range.
     """
-    op = linalg.require_hermitian(operator)
-    psi = _require_system_state(psi, op.shape[0])
+    eig = linalg.eig_hermitian(operator)
+    psi = _require_system_state(psi, eig.dim)
     if not np.isfinite(g):
         raise InputError("coupling strength g must be finite")
-    grid = pointer.grid
-    eig = linalg.eig_hermitian(op)
+    return _couple(psi, pointer, eig, g)
 
+
+def _couple(
+    psi: np.ndarray, pointer: PointerState, eig: linalg.EigenDecomposition, g: float
+) -> JointState:
+    """couple() on a validated state, decomposition and coupling strength."""
+    grid = pointer.grid
     max_shift = abs(g) * float(np.max(np.abs(eig.eigenvalues)))
     if max_shift > 0.25 * grid.extent:
         raise GridGuardError(
@@ -518,22 +530,20 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     phi = _require_system_state(phi, psi.size)
     dim = psi.size
 
-    ops = []
     gains = []
     pointers = []
     cluster_values: list[np.ndarray] = []
     cluster_vecs: list[list[np.ndarray]] = []
     for k, (operator, g, ptr) in enumerate(couplings):
-        op = linalg.require_hermitian(operator)
-        if op.shape[0] != dim:
+        eig = linalg.eig_hermitian(operator)
+        if eig.dim != dim:
             raise DimensionMismatchError(
-                f"coupling {k}: operator dimension {op.shape[0]} != system dimension {dim}"
+                f"coupling {k}: operator dimension {eig.dim} != system dimension {dim}"
             )
         if not np.isfinite(g):
             raise InputError(f"coupling {k}: g must be finite")
         if not isinstance(ptr, PointerState):
             raise InputError(f"coupling {k}: pointer must be a PointerState")
-        eig = linalg.eig_hermitian(op)
         bound = float(np.max(np.abs(eig.eigenvalues)))
         width = sqrt(2.0 * var_q(ptr))
         if abs(g) * bound > width / 10.0:
@@ -544,7 +554,6 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         if abs(g) * bound > 0.25 * ptr.grid.extent:
             raise GridGuardError(f"coupling {k}: translation would wrap around the grid")
         clusters = eig.clusters()
-        ops.append(op)
         gains.append(float(g))
         pointers.append(ptr)
         cluster_values.append(np.array([value for value, _ in clusters]))

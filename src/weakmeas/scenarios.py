@@ -21,6 +21,7 @@ scenarios serialize to a documented key = value text format.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -28,12 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pointer, textout, twostate
-from .errors import DimensionMismatchError, InputError, ScenarioFormatError
+from .errors import InputError, ScenarioFormatError
 from .pointer import CouplingConfig, PointerGrid
 
 FORMAT_TAG = "weakmeas-scenario-1"
 WEAK_VALUE_RECHECK_TOL = 1e-9
-MAX_TARGET = 1e10
+MAX_TARGET = 1e6
 MAX_ENSEMBLE_SPINS = 12
 
 
@@ -43,7 +44,9 @@ class Scenario:
 
     ``weak_value`` may be passed by a builder or a file; construction
     re-derives it from the states and observable and rejects mismatches
-    beyond WEAK_VALUE_RECHECK_TOL (relative).
+    beyond WEAK_VALUE_RECHECK_TOL (relative). The observable's spectral
+    decomposition is computed on first use and reused by every run and
+    override.
     """
 
     name: str
@@ -55,26 +58,22 @@ class Scenario:
     weak_value: complex | None = None
     _tsv: twostate.TwoStateVector = field(init=False, repr=False, compare=False)
     _conditional: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _eigen: linalg.EigenDecomposition | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.coupling, CouplingConfig):
             raise InputError("coupling must be a CouplingConfig")
         if not isinstance(self.grid, PointerGrid):
             raise InputError("grid must be a PointerGrid")
-        pre = linalg.as_vector(self.pre).copy()
-        post = linalg.as_vector(self.post).copy()
-        operator = linalg.require_hermitian(self.operator).copy()
-        if operator.shape[0] != pre.size:
-            raise DimensionMismatchError(
-                f"operator dimension {operator.shape[0]} != state dimension {pre.size}"
-            )
-        for arr in (pre, post, operator):
-            arr.setflags(write=False)
-        self.pre = pre
-        self.post = post
-        self.operator = operator
-        self._tsv = twostate.TwoStateVector(pre, post)
-        derived = twostate.weak_value(operator, self._tsv)
+        self._tsv = twostate.TwoStateVector(self.pre, self.post)
+        self.pre = self._tsv.pre
+        self.post = self._tsv.post
+        self.operator = np.array(self.operator, dtype=complex)
+        # Validates the operator: square, finite, Hermitian, of the states' dimension.
+        derived = twostate.weak_value(self.operator, self._tsv)
+        self.operator.setflags(write=False)
         if self.weak_value is None:
             self.weak_value = derived
         else:
@@ -97,6 +96,13 @@ class Scenario:
     def two_state(self) -> twostate.TwoStateVector:
         return self._tsv
 
+    @property
+    def eigen(self) -> linalg.EigenDecomposition:
+        """Spectral decomposition of the observable."""
+        if self._eigen is None:
+            self._eigen = linalg.eig_hermitian(self.operator)
+        return self._eigen
+
     def initial_pointer(self) -> pointer.PointerState:
         return pointer.make_gaussian(self.grid, self.coupling.delta)
 
@@ -104,8 +110,8 @@ class Scenario:
         """Couple, post-select, and cache the conditional pointer state
         together with the post-selection probability."""
         if self._conditional is None:
-            joint = pointer.couple(
-                self.pre, self.initial_pointer(), self.operator, self.coupling.g
+            joint = pointer._couple(
+                self.pre, self.initial_pointer(), self.eigen, self.coupling.g
             )
             self._conditional = pointer.post_select(joint, self.post)
         return self._conditional
@@ -289,33 +295,23 @@ def with_overrides(
     grid_n: int | None = None,
     grid_extent: float | None = None,
 ) -> Scenario:
-    """Rebuild a scenario with some run parameters replaced.
+    """Copy a scenario with some run parameters replaced.
 
-    The grid is re-derived by the default sizing policy whenever g, delta
-    or grid_n changes and no explicit extent is pinned.
+    The copy shares the validated states, observable and spectral
+    decomposition. Its grid is re-derived by the default sizing policy
+    unless an explicit extent is pinned.
     """
     if g is None and delta is None and grid_n is None and grid_extent is None:
         return scenario
     new_g = scenario.coupling.g if g is None else float(g)
     new_delta = scenario.coupling.delta if delta is None else float(delta)
     n = scenario.grid.n if grid_n is None else int(grid_n)
-    if grid_extent is not None or (g is not None or delta is not None or grid_n is not None):
-        eig = linalg.eig_hermitian(scenario.operator)
-        eig_bound = float(np.max(np.abs(eig.eigenvalues)))
-        grid = _make_grid(
-            new_delta, new_g, eig_bound, abs(scenario.weak_value), n, grid_extent
-        )
-    else:
-        grid = scenario.grid
-    return Scenario(
-        name=scenario.name,
-        pre=scenario.pre,
-        post=scenario.post,
-        operator=scenario.operator,
-        coupling=CouplingConfig(g=new_g, delta=new_delta),
-        grid=grid,
-        weak_value=scenario.weak_value,
-    )
+    eig_bound = float(np.max(np.abs(scenario.eigen.eigenvalues)))
+    out = copy.copy(scenario)
+    out.coupling = CouplingConfig(g=new_g, delta=new_delta)
+    out.grid = _make_grid(new_delta, new_g, eig_bound, abs(scenario.weak_value), n, grid_extent)
+    out._conditional = None
+    return out
 
 
 def resolve(

@@ -24,7 +24,7 @@ ORTHOGONALITY_TOL = 1e-12
 
 
 def _require_normalized(v: np.ndarray, label: str) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = np.vdot(v, v).real ** 0.5
     if abs(n - 1.0) > NORMALIZATION_TOL:
         raise InputError(f"{label} state is not normalized: |norm - 1| = {abs(n - 1.0):.3e}")
     return v
@@ -53,7 +53,7 @@ class TwoStateVector:
             )
         _require_normalized(pre, "pre-selected")
         _require_normalized(post, "post-selected")
-        overlap = linalg.inner_product(post, pre)
+        overlap = complex(np.vdot(post, pre))
         if abs(overlap) <= ORTHOGONALITY_TOL:
             raise OrthogonalSelectionError(
                 f"pre- and post-selected states are orthogonal: |<post|pre>| = {abs(overlap):.3e}"
@@ -92,8 +92,7 @@ def weak_value(operator, tsv: TwoStateVector) -> complex:
         )
     if abs(tsv.overlap) <= ORTHOGONALITY_TOL:
         raise OrthogonalSelectionError("weak value undefined for orthogonal selection")
-    numerator = linalg.inner_product(tsv.post, op @ tsv.pre)
-    return numerator / tsv.overlap
+    return complex(np.vdot(tsv.post, op @ tsv.pre)) / tsv.overlap
 
 
 def expectation(operator, psi) -> float:
@@ -117,14 +116,13 @@ def eigen_probabilities(operator, psi) -> list[tuple[float, float]]:
     (eigenvalue, probability) pairs in ascending eigenvalue order; the
     probabilities sum to 1.
     """
-    op = linalg.require_hermitian(operator)
+    eig = linalg.eig_hermitian(operator)
     psi = linalg.as_vector(psi)
-    if op.shape[0] != psi.size:
+    if eig.dim != psi.size:
         raise DimensionMismatchError(
-            f"operator dimension {op.shape[0]} does not match state dimension {psi.size}"
+            f"operator dimension {eig.dim} does not match state dimension {psi.size}"
         )
     _require_normalized(psi, "input")
-    eig = linalg.eig_hermitian(op)
     amplitudes = eig.eigenvectors.conj().T @ psi
     weights = np.abs(amplitudes) ** 2
     return [(value, float(weights[idx].sum())) for value, idx in eig.clusters()]

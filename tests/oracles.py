@@ -7,10 +7,10 @@ width-delta Gaussian. After post-selection the conditional state is
 
 where w_k = <post|Pi_k|pre> / <post|pre> and s_k = g * o_k. Every moment of
 phi then reduces to Gaussian overlap integrals with exact closed forms.
-These helpers evaluate those forms directly with numpy sums and use
-numpy.linalg.eigh for the spectral decomposition, so they are independent
-of the package code under test (its FFT evolution, translation phases, and
-in-house Jacobi diagonalization).
+These helpers evaluate those forms directly with numpy sums, so they are
+independent of the package's FFT evolution and translation phases. Both
+the package and these helpers diagonalize with numpy.linalg.eigh; the
+oracle's independence rests on the closed-form Gaussian moments.
 """
 
 import numpy as np

@@ -4,15 +4,42 @@ import sys
 import numpy as np
 import pytest
 
-from weakmeas import save_scenario, serialize_scenario, three_box
+from weakmeas import (
+    CouplingConfig,
+    Scenario,
+    default_grid,
+    save_scenario,
+    serialize_scenario,
+    three_box,
+)
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import SweepSpecError
+
+from oracles import random_hermitian, random_state
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dense_scenario_file(tmp_path):
+    """A dim-4 scenario file whose observable has no zero off-diagonal entry."""
+    rng = np.random.default_rng(5)
+    operator = random_hermitian(rng, 4)
+    operator /= np.max(np.abs(np.linalg.eigvalsh(operator)))
+    scenario = Scenario(
+        name="dense4",
+        pre=random_state(rng, 4),
+        post=random_state(rng, 4),
+        operator=operator,
+        coupling=CouplingConfig(g=0.05, delta=1.0),
+        grid=default_grid(1.0, 0.05),
+    )
+    path = tmp_path / "dense4.scenario"
+    save_scenario(scenario, path)
+    return str(path)
 
 
 def parse_keyvalues(text):
@@ -208,6 +235,9 @@ def test_exit_code_input_error(capsys):
     code, _, err = run_cli(capsys, "weak-value", "--scenario", "bogus/ref")
     assert code == 2
     assert "error" in err
+    code, _, err = run_cli(capsys, "weak-value", "--scenario", "spin-amp/1e9")
+    assert code == 2
+    assert "exceeds the supported cap" in err
 
 
 def test_exit_code_sweep_error(capsys):
@@ -240,6 +270,49 @@ def test_exit_code_guard(capsys):
     )
     assert code == 4
     assert "guard" in err or "grid" in err
+
+
+def test_exit_code_undersampled_pointer(capsys):
+    # the default n = 4096 grid for spin-amp/1e6 has spacing ~ delta
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "spin-amp/1e6")
+    assert code == 4
+    assert "grid" in err
+    code, _, _ = run_cli(
+        capsys, "simulate", "--scenario", "spin-amp/1e6", "--grid-n", "65536"
+    )
+    assert code == 0
+
+
+def test_exit_code_convergence(tmp_path, capsys, monkeypatch):
+    path = dense_scenario_file(tmp_path)
+
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code, _, err = run_cli(capsys, "weak-value", "--scenario", path)
+    assert code == 4
+    assert "converge" in err
+
+
+def test_dense_scenario_diagonalized_once_per_command(tmp_path, capsys, monkeypatch):
+    path = dense_scenario_file(tmp_path)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for argv in (
+        ["scan", "--scenario", path, "--sweep", "delta=0.5,1,2,3"],
+        ["simulate", "--scenario", path, "--g", "0.02"],
+    ):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [(4, 4)]
 
 
 def test_exit_code_zero_accepted(tmp_path, capsys):

@@ -185,17 +185,32 @@ def test_normalized_rejects_zero_vector():
         linalg.normalized(np.zeros(3))
 
 
-def test_convergence_cap_raises():
-    # A constructed pathological case is hard to hit with a correct Jacobi
-    # sweep; instead check the guard wiring by shrinking the sweep budget.
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng, 16)
-    import weakmeas.linalg as mod
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    original = mod.JACOBI_SWEEP_CAP
-    mod.JACOBI_SWEEP_CAP = 0
-    try:
-        with pytest.raises(ConvergenceError):
-            mod.eig_hermitian(m)
-    finally:
-        mod.JACOBI_SWEEP_CAP = original
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(ConvergenceError):
+        linalg.eig_hermitian(random_hermitian(np.random.default_rng(3), 16))
+
+
+def test_diagonal_operator_read_off_exactly():
+    eig = linalg.eig_hermitian(np.diag([1.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(eig.eigenvalues, [0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(eig.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+
+def test_degenerate_dense_operator_conventions():
+    rng = np.random.default_rng(19)
+    unitary, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    m = (unitary * np.array([-1.0, 2.0, 2.0, 2.0, 0.5])) @ unitary.conj().T
+    m = 0.5 * (m + m.conj().T)
+    eig = linalg.eig_hermitian(m)
+    v = eig.eigenvectors
+    assert np.max(np.abs((v * eig.eigenvalues) @ v.conj().T - m)) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(5))) <= 1e-12
+    for k in range(5):
+        lead = v[np.flatnonzero(np.abs(v[:, k]) > linalg.PHASE_TOL)[0], k]
+        assert abs(lead.imag) <= 1e-15
+        assert lead.real > 0.0
+    assert [len(idx) for _, idx in eig.clusters()] == [1, 1, 3]

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from weakmeas import (
     with_overrides,
 )
 from weakmeas.errors import InputError, ScenarioFormatError
+from weakmeas.scenarios import MAX_TARGET
 
 
 def test_three_box_weak_values():
@@ -54,6 +57,19 @@ def test_spin_amplification_guards():
         spin_amplification(1e11)
     with pytest.raises(InputError):
         spin_amplification(np.nan)
+
+
+def test_spin_amplification_target_cap_boundary():
+    on_cap = [1e6, -1e6, 1e6j, -1e6j]
+    on_cap += [cmath.rect(1e6, theta) for theta in (0.3, 1.0, 2.0, 3.5, 5.0)]
+    for t in on_cap:
+        assert abs(t) <= MAX_TARGET
+        sc = spin_amplification(t)
+        assert abs(sc.weak_value - t) <= 1e-9 * abs(t)
+    above = np.nextafter(MAX_TARGET, np.inf)
+    for t in (above, -above, 1j * above):
+        with pytest.raises(InputError, match="cap"):
+            spin_amplification(t)
 
 
 def test_spin_amplification_unit_target_ok():

@@ -290,7 +290,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     )
     if args.out:
         outdir = _ensure_outdir(args.out)
-        header = _header(scenario, "sample", {"seed": args.seed, "n": args.n})
+        header = _header(
+            scenario, "sample",
+            {"seed": args.seed, "n": args.n, "rng_stream": montecarlo.RNG_STREAM},
+        )
         montecarlo.write_runs(
             records, os.path.join(outdir, f"runs.{args.format}"), header, _delimiter(args)
         )
@@ -313,9 +316,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "probability",
         ]
         probability = _simulate_summary(base)["probability"]
+        # Trial k does not depend on n, so each prefix of one draw is the
+        # run estimate_weak_value would make at that n.
+        records = montecarlo.run_records(args.seed, int(values[-1]), base)
         rows = []
         for value in values:
-            report = montecarlo.estimate_weak_value(args.seed, int(value), base)
+            report = montecarlo.estimate_from_records(
+                records.head(int(value)), base.coupling.g
+            )
             rows.append(
                 [
                     int(value),
@@ -326,7 +334,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     probability,
                 ]
             )
-        extras = {"sweep": args.sweep, "seed": args.seed}
+        extras = {"sweep": args.sweep, "seed": args.seed, "rng_stream": montecarlo.RNG_STREAM}
     else:
         names = [
             spec.parameter,

@@ -7,22 +7,31 @@ Acceptance is a Bernoulli draw at the exact post-selection probability, and
 the readout is drawn by inverse-transform sampling from the exact
 conditional position distribution, so sampling error is purely statistical.
 
-Each trial owns a private RNG stream derived from (master seed, trial
-index); records are bit-reproducible per trial, independent of batch size,
-execution order, or worker count.
+The random stream is counter-based (Philox4x64-10, Salmon et al., SC'11).
+The key comes from the master seed; trial k uses the 4 x 64-bit block that
+``numpy.random.Philox(key=key, counter=k).random_raw(4)`` returns. Lane 0
+is the acceptance uniform, lane 1 the readout uniform and lane 2 the
+trial's stream id. Since consecutive counters are consecutive blocks of one
+Philox stream, a range of trials is drawn in one call, and every trial is a
+pure function of (seed, k): records are bit-reproducible per trial,
+independent of batch size, chunking or worker count. Trials are kept as
+columns (``TrialColumns``), not as one object per trial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import pointer, textout
+from . import textout
 from .errors import InputError, ZeroAcceptedError
 from .scenarios import Scenario
+
+RNG_STREAM = "philox4x64-10"
+# Trials drawn per Philox call; bounds the temporary memory of a draw.
+CHUNK_TRIALS = 2**16
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,60 @@ class RunRecord:
     accepted: bool
     readout_q: float | None
     rng_stream_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """Trials 0..n-1 of a sampling run, one array per field.
+
+    ``readout_q`` is NaN for rejected trials. Indexing and iteration give
+    ``RunRecord`` rows, so the columns stand in for a list of records.
+    """
+
+    accepted: np.ndarray
+    readout_q: np.ndarray
+    rng_stream_id: np.ndarray
+
+    def __len__(self) -> int:
+        return self.accepted.size
+
+    def __getitem__(self, trial: int) -> RunRecord:
+        trial = range(len(self))[trial]
+        accepted = bool(self.accepted[trial])
+        return RunRecord(
+            trial_index=trial,
+            accepted=accepted,
+            readout_q=float(self.readout_q[trial]) if accepted else None,
+            rng_stream_id=int(self.rng_stream_id[trial]),
+        )
+
+    def __iter__(self):
+        return (self[trial] for trial in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialColumns):
+            return NotImplemented
+        return (
+            np.array_equal(self.accepted, other.accepted)
+            and np.array_equal(self.readout_q, other.readout_q, equal_nan=True)
+            and np.array_equal(self.rng_stream_id, other.rng_stream_id)
+        )
+
+    def head(self, n: int) -> TrialColumns:
+        """The first n trials (views, no copy)."""
+        return TrialColumns(self.accepted[:n], self.readout_q[:n], self.rng_stream_id[:n])
+
+    @classmethod
+    def from_records(cls, records) -> TrialColumns:
+        """Columns of a sequence of RunRecords, in the order given."""
+        return cls(
+            accepted=np.array([r.accepted for r in records], dtype=bool),
+            readout_q=np.array(
+                [math.nan if r.readout_q is None else r.readout_q for r in records],
+                dtype=float,
+            ),
+            rng_stream_id=np.array([r.rng_stream_id for r in records], dtype=np.uint64),
+        )
 
 
 @dataclass(frozen=True)
@@ -56,17 +119,20 @@ class _TrialContext:
     probability: float
     points: np.ndarray
     cdf: np.ndarray
-    g: float
+    key: np.ndarray
 
 
-def _context(scenario: Scenario) -> _TrialContext:
+def _context(scenario: Scenario, seed: int) -> _TrialContext:
     state, probability = scenario.run()
     grid = scenario.grid
     mass = state.position_density() * grid.spacing
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
     return _TrialContext(
-        probability=probability, points=grid.points, cdf=cdf, g=scenario.coupling.g
+        probability=probability,
+        points=grid.points,
+        cdf=cdf,
+        key=np.random.SeedSequence(seed).generate_state(2, np.uint64),
     )
 
 
@@ -76,18 +142,24 @@ def _check_seed(seed: int, label: str = "seed") -> int:
     return int(seed)
 
 
-def _draw(ctx: _TrialContext, seed: int, trial: int) -> RunRecord:
-    sequence = np.random.SeedSequence([seed, trial])
-    stream_id = int(sequence.generate_state(1, np.uint64)[0])
-    rng = np.random.default_rng(sequence)
-    accepted = bool(rng.random() < ctx.probability)
-    readout = None
-    if accepted:
-        u = rng.random()
-        readout = float(ctx.points[int(np.searchsorted(ctx.cdf, u, side="right"))])
-    return RunRecord(
-        trial_index=trial, accepted=accepted, readout_q=readout, rng_stream_id=stream_id
-    )
+def _lanes(key: np.ndarray, start: int, stop: int):
+    """Acceptance uniforms, readout uniforms and stream ids of trials
+    start..stop-1, from one Philox call. Uniforms use the top 53 bits of
+    their lane, as numpy's ``random()`` does."""
+    blocks = np.random.Philox(key=key, counter=start).random_raw(4 * (stop - start))
+    blocks = blocks.reshape(-1, 4)
+    unit = (blocks[:, :2] >> np.uint64(11)) * 2.0**-53
+    return unit[:, 0], unit[:, 1], blocks[:, 2]
+
+
+def _draw(ctx: _TrialContext, start: int, stop: int) -> TrialColumns:
+    u_accept, u_readout, stream_id = _lanes(ctx.key, start, stop)
+    accepted = u_accept < ctx.probability
+    readout_q = np.full(stop - start, math.nan)
+    readout_q[accepted] = ctx.points[
+        np.searchsorted(ctx.cdf, u_readout[accepted], side="right")
+    ]
+    return TrialColumns(accepted, readout_q, stream_id)
 
 
 def sample_run(seed: int, trial: int, scenario: Scenario) -> RunRecord:
@@ -98,46 +170,53 @@ def sample_run(seed: int, trial: int, scenario: Scenario) -> RunRecord:
     """
     seed = _check_seed(seed)
     trial = _check_seed(trial, "trial index")
-    return _draw(_context(scenario), seed, trial)
+    record = _draw(_context(scenario, seed), trial, trial + 1)[0]
+    return replace(record, trial_index=trial)
 
 
 def run_records(
     seed: int, n_trials: int, scenario: Scenario, workers: int = 1
-) -> list[RunRecord]:
-    """Draw trials 0..n_trials-1. ``workers`` threads split the trial range
-    into contiguous chunks; the result is identical for any worker count."""
+) -> TrialColumns:
+    """Draw trials 0..n_trials-1 as columns, CHUNK_TRIALS per Philox call.
+
+    ``workers`` splits the trial range into that many contiguous parts,
+    drawn one after another; the result is identical for any value.
+    """
     seed = _check_seed(seed)
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise InputError(f"n_trials must be a positive integer, got {n_trials!r}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
-    ctx = _context(scenario)
+    ctx = _context(scenario, seed)
     n = int(n_trials)
-    records: list[RunRecord | None] = [None] * n
+    columns = TrialColumns(
+        accepted=np.empty(n, dtype=bool),
+        readout_q=np.empty(n, dtype=float),
+        rng_stream_id=np.empty(n, dtype=np.uint64),
+    )
+    part = math.ceil(n / int(workers))
+    for first in range(0, n, part):
+        last = min(first + part, n)
+        for lo in range(first, last, CHUNK_TRIALS):
+            hi = min(lo + CHUNK_TRIALS, last)
+            chunk = _draw(ctx, lo, hi)
+            columns.accepted[lo:hi] = chunk.accepted
+            columns.readout_q[lo:hi] = chunk.readout_q
+            columns.rng_stream_id[lo:hi] = chunk.rng_stream_id
+    return columns
 
-    def fill(start: int, stop: int) -> None:
-        for trial in range(start, stop):
-            records[trial] = _draw(ctx, seed, trial)
 
-    if workers == 1:
-        fill(0, n)
-    else:
-        chunk = math.ceil(n / int(workers))
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
-                future.result()
-    return records  # type: ignore[return-value]
-
-
-def estimate_from_records(records: list[RunRecord], g: float) -> EstimateReport:
-    """Reduce a record stream to an EstimateReport (fixed reduction order)."""
+def estimate_from_records(records, g: float) -> EstimateReport:
+    """Reduce trial columns, or a list of RunRecords, to an EstimateReport
+    (fixed reduction order)."""
     if g == 0.0:
         raise InputError("the weak-value estimator divides by g; g = 0 is unusable")
     n_total = len(records)
     if n_total == 0:
         raise InputError("no records to aggregate")
-    readouts = np.array([r.readout_q for r in records if r.accepted], dtype=float)
+    if not isinstance(records, TrialColumns):
+        records = TrialColumns.from_records(records)
+    readouts = records.readout_q[records.accepted]
     n_accepted = readouts.size
     if n_accepted == 0:
         raise ZeroAcceptedError(
@@ -167,18 +246,13 @@ def estimate_weak_value(
     )
 
 
-def write_runs(records: list[RunRecord], target, header: dict | None = None,
+def write_runs(records: TrialColumns, target, header: dict | None = None,
                delimiter: str = "\t") -> None:
     """Per-trial delimited export: trial, accepted, readout_q, rng_stream_id."""
     textout.write_table(
         target,
         ["trial", "accepted", "readout_q", "rng_stream_id"],
-        [
-            [r.trial_index for r in records],
-            [1 if r.accepted else 0 for r in records],
-            [r.readout_q for r in records],
-            [r.rng_stream_id for r in records],
-        ],
+        [np.arange(len(records)), records.accepted, records.readout_q, records.rng_stream_id],
         header,
         delimiter,
     )

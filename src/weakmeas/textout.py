@@ -11,8 +11,13 @@ import io
 import os
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 SIG_FIGS = 17
 _FMT = f".{SIG_FIGS}g"
+_FORMAT_FLOAT = f"{{:{_FMT}}}".format
+# Rows formatted and written per write call; bounds the memory of the text.
+ROWS_PER_WRITE = 2**12
 
 
 def format_number(x) -> str:
@@ -42,6 +47,20 @@ def _open_target(target):
             yield fh
 
 
+def _format_column(column) -> list[str]:
+    """The cells of one column as text, by the rule ``format_value`` applies
+    to them; numpy arrays are formatted by dtype, without per-cell dispatch."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return np.where(column, "1", "0").tolist()
+        if kind in "iu":
+            return list(map(str, column.tolist()))
+        if kind == "f":
+            return list(map(_FORMAT_FLOAT, column.tolist()))
+    return [format_value(x) for x in column]
+
+
 def _header_lines(header: Mapping[str, object] | None) -> list[str]:
     if not header:
         return []
@@ -56,18 +75,18 @@ def write_table(
     delimiter: str = "\t",
 ) -> None:
     """Write parallel columns as delimited text with '#' comment headers."""
-    cols = [list(c) for c in columns]
+    cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     if len(cols) != len(column_names):
         raise ValueError("column_names and columns length mismatch")
     n_rows = len(cols[0]) if cols else 0
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns have unequal lengths")
+    head = _header_lines(header) + ["# columns: " + delimiter.join(column_names)]
     with _open_target(target) as fh:
-        for line in _header_lines(header):
-            fh.write(line + "\n")
-        fh.write("# columns: " + delimiter.join(column_names) + "\n")
-        for row in zip(*cols):
-            fh.write(delimiter.join(format_value(x) for x in row) + "\n")
+        fh.write("\n".join(head) + "\n")
+        for lo in range(0, n_rows, ROWS_PER_WRITE):
+            cells = [_format_column(c[lo:lo + ROWS_PER_WRITE]) for c in cols]
+            fh.write("\n".join(map(delimiter.join, zip(*cells))) + "\n")
 
 
 def write_keyvalues(

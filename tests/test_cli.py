@@ -8,10 +8,12 @@ from weakmeas import (
     CouplingConfig,
     Scenario,
     default_grid,
+    estimate_weak_value,
     save_scenario,
     serialize_scenario,
     three_box,
 )
+from weakmeas import textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import SweepSpecError
 
@@ -216,6 +218,26 @@ def test_scan_n_trials_table(capsys):
     assert len(lines) == 2
     row = lines[0].split("\t")
     assert row[0] == "200"
+
+
+def test_scan_n_trials_rows_match_separate_estimates(tmp_path, capsys):
+    # One draw at the largest n; each row must equal its own full run.
+    code, out, _ = run_cli(
+        capsys,
+        "scan", "--scenario", "three-box/C", "--sweep", "n_trials=300,60,1000",
+        "--seed", "9", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    scenario = three_box("C")
+    _, probability = scenario.run()
+    assert len(rows) == 3
+    for row, n in zip(rows, (60, 300, 1000)):
+        report = estimate_weak_value(9, n, scenario)
+        expected = (n, report.wv_estimate, report.std_error, report.acceptance_rate,
+                    report.n_accepted, probability)
+        assert row == [textout.format_value(x) for x in expected]
+    assert "# rng_stream = philox4x64-10" in (tmp_path / "scan.tsv").read_text().splitlines()
 
 
 def test_scan_g_includes_zero(capsys):

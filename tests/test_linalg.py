@@ -125,6 +125,23 @@ def test_non_hermitian_rejected():
         linalg.eig_hermitian(np.array([[0.0, 1e-3], [0.0, 0.0]]))
 
 
+def test_tiled_hermitian_check_reports_untiled_defect():
+    # One entry breaks Hermiticity, in the last (partial) tile row or column
+    # or below the diagonal; the tiled maximum equals the untiled formula's.
+    rng = np.random.default_rng(11)
+    dim = linalg.HERMITIAN_TILE + 44
+    base = random_hermitian(rng, dim)
+    for i, j in ((dim - 3, dim - 10), (dim - 2, 5), (7, dim - 1)):
+        m = base.copy()
+        m[i, j] += 1e-6 + 2e-7j
+        defect = float(np.abs(m - m.conj().T).max())
+        with pytest.raises(NonHermitianError, match=f"= {defect:.3e} exceeds"):
+            linalg.require_hermitian(m)
+        linalg.require_hermitian(m, tol=defect)
+        with pytest.raises(NonHermitianError):
+            linalg.require_hermitian(m, tol=float(np.nextafter(defect, 0.0)))
+
+
 def test_hermitian_tolerance_allows_roundoff():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5 - 1.2e-13j, 2.0]])
     out = linalg.require_hermitian(m)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from weakmeas import (
     var_q,
 )
 from weakmeas import montecarlo
+from weakmeas.cli import main
 from weakmeas.errors import InputError, ZeroAcceptedError
 
 
@@ -210,3 +212,96 @@ def test_readouts_stay_on_grid():
     for r in run_records(31, 5000, sc):
         if r.accepted:
             assert grid.q_min <= r.readout_q <= grid.q_max
+
+
+# ------------------------------------------------------ counter-based stream
+
+
+def test_stream_matches_installed_philox():
+    # Trial k's lanes are the block Philox(key, counter=k) returns first;
+    # numpy's Generator.random() turns lanes 0 and 1 into the same uniforms.
+    sc = three_box("C")
+    state, prob = sc.run()
+    cdf = np.cumsum(state.position_density() * sc.grid.spacing)
+    cdf /= cdf[-1]
+    seed = 77
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    n = montecarlo.CHUNK_TRIALS + 5
+    u_accept, u_readout, stream_id = montecarlo._lanes(key, 0, n)
+    records = run_records(seed, n, sc)
+    trials = (0, 1, 2, 3, montecarlo.CHUNK_TRIALS - 1, montecarlo.CHUNK_TRIALS, n - 1)
+    trials += tuple(int(k) for k in np.flatnonzero(records.accepted)[:5])
+    for k in trials:
+        block = np.random.Philox(key=key, counter=k).random_raw(4)
+        generator = np.random.Generator(np.random.Philox(key=key, counter=k))
+        assert u_accept[k] == generator.random() == (int(block[0]) >> 11) / 2.0**53
+        assert u_readout[k] == generator.random() == (int(block[1]) >> 11) / 2.0**53
+        assert stream_id[k] == block[2]
+        record = records[k]
+        assert record.rng_stream_id == int(block[2])
+        assert record.accepted == bool(u_accept[k] < prob)
+        if record.accepted:
+            index = np.searchsorted(cdf, u_readout[k], side="right")
+            assert record.readout_q == sc.grid.points[index]
+
+
+def test_chunk_boundaries_do_not_change_columns(monkeypatch):
+    sc = three_box("C")
+    n = 2 * 7 + 3
+    base = run_records(8, n, sc)
+    assert base.accepted.sum() >= 2
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 7)
+    for workers in (1, 2, 3, 5, 17, 40):
+        assert run_records(8, n, sc, workers=workers) == base
+    assert [sample_run(8, k, sc) for k in range(n)] == list(base)
+
+
+def test_sample_golden_rows(tmp_path, capsys):
+    # Pins the stream: any change of generator, key derivation or lane use
+    # changes these rows.
+    assert main([
+        "sample", "--scenario", "spin-amp/1", "--seed", "123", "--n", "4",
+        "--out", str(tmp_path),
+    ]) == 0
+    assert capsys.readouterr().out == (
+        "n_total = 4\n"
+        "n_accepted = 2\n"
+        "acceptance_rate = 0.5\n"
+        "wv_estimate = 463.1220703125\n"
+        "std_error = 166.0986328125\n"
+    )
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert "# rng_stream = philox4x64-10" in lines
+    assert [line for line in lines if not line.startswith("#")] == [
+        "0\t0\tnan\t4553600880591878615",
+        "1\t1\t297.0234375\t4908005261697603336",
+        "2\t0\tnan\t5297608824734658542",
+        "3\t1\t629.220703125\t16157874938038858795",
+    ]
+
+
+def test_million_trials_in_bounded_memory():
+    sc = three_box("C")
+    sc.run()
+    tracemalloc.start()
+    try:
+        report = estimate_weak_value(0, 10**6, sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_total == 10**6
+    assert peak < 64 * 2**20
+
+
+def test_columns_behave_as_records():
+    sc = three_box("C")
+    columns = run_records(6, 300, sc)
+    records = list(columns)
+    assert len(columns) == len(records) == 300
+    assert [r.trial_index for r in records] == list(range(300))
+    assert columns[-1] == records[-1]
+    assert montecarlo.TrialColumns.from_records(records) == columns
+    assert columns.head(10) == run_records(6, 10, sc)
+    assert estimate_from_records(records, 0.05) == estimate_from_records(columns, 0.05)
+    with pytest.raises(IndexError):
+        columns[300]

@@ -215,14 +215,15 @@ def _simulate_summary(scenario: Scenario) -> dict:
     state, probability = scenario.run()
     g = scenario.coupling.g
     reference_shift = g * scenario.weak_value.real
+    moments = pointer.moments(state)
     return {
         "weak_value_re": scenario.weak_value.real,
         "weak_value_im": scenario.weak_value.imag,
         "probability": probability,
-        "mean_Q": pointer.mean_q(state),
-        "var_Q": pointer.var_q(state),
-        "mean_P": pointer.mean_p(state),
-        "var_P": pointer.var_p(state),
+        "mean_Q": moments.mean_q,
+        "var_Q": moments.var_q,
+        "mean_P": moments.mean_p,
+        "var_P": moments.var_p,
         "reference_shift": reference_shift,
         "gaussian_fidelity": pointer.gaussian_fidelity(
             state, reference_shift, scenario.coupling.delta

@@ -32,6 +32,11 @@ from .scenarios import Scenario
 RNG_STREAM = "philox4x64-10"
 # Trials drawn per Philox call; bounds the temporary memory of a draw.
 CHUNK_TRIALS = 2**16
+# Largest trial count of one draw. The columns take 17 bytes per trial:
+# 5 * 10^7 trials ran in 6.4 s at 935 MB peak RSS (sample, no --out, 2-core
+# Xeon), a budget of about 1 GB; far beyond it a draw ends in an
+# out-of-memory kill instead of an error.
+MAX_TRIALS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -181,10 +186,13 @@ def run_records(
 
     ``workers`` splits the trial range into that many contiguous parts,
     drawn one after another; the result is identical for any value.
+    More than MAX_TRIALS trials raise InputError before anything is drawn.
     """
     seed = _check_seed(seed)
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise InputError(f"n_trials must be a positive integer, got {n_trials!r}")
+    if n_trials > MAX_TRIALS:
+        raise InputError(f"n_trials {n_trials} exceeds the cap {MAX_TRIALS}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
     ctx = _context(scenario, seed)

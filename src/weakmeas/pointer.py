@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,8 +192,15 @@ class PointerState:
         return phi
 
     def momentum_density(self) -> np.ndarray:
-        """|phi(p)|^2 on grid.momenta_sorted; integrates to 1 with weight dp."""
-        return np.abs(self.momentum_wavefunction()) ** 2
+        """|phi(p)|^2 on grid.momenta_sorted; integrates to 1 with weight dp.
+
+        The factor exp(-i p q_min) of momentum_wavefunction has unit
+        modulus, so the density is |fft|^2 dq^2 / (2 pi), shifted.
+        """
+        grid = self.grid
+        rho = np.abs(np.fft.fft(self.samples)) ** 2
+        rho *= grid.spacing**2 / (2.0 * pi)
+        return np.fft.fftshift(rho)
 
 
 class MixedPointerState:
@@ -268,57 +276,66 @@ def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> Point
         ) from exc
 
 
-def _density_total(grid: PointerGrid, rho: np.ndarray, weight: float) -> float:
+class Moments(NamedTuple):
+    """Mean and variance of a pointer's position and momentum densities."""
+
+    mean_q: float
+    var_q: float
+    mean_p: float
+    var_p: float
+
+
+def _density_moments(x: np.ndarray, rho: np.ndarray, weight: float) -> tuple[float, float, float]:
+    """Total mass, mean and variance about the mean of a lattice density."""
     total = float(rho.sum() * weight)
     if total <= 0.0:
         raise InputError("density has zero total mass")
-    return total
+    mu = float(np.sum(x * rho) * weight / total)
+    return total, mu, float(np.sum((x - mu) ** 2 * rho) * weight / total)
 
 
-def mean_q(state) -> float:
-    """Mean pointer position, by grid quadrature of the position density."""
+def _position_moments(state) -> tuple[float, float, float]:
     grid = state.grid
-    rho = state.position_density()
-    total = _density_total(grid, rho, grid.spacing)
-    return float(np.sum(grid.points * rho) * grid.spacing / total)
+    return _density_moments(grid.points, state.position_density(), grid.spacing)
 
 
-def var_q(state) -> float:
-    """Position variance about the mean."""
+def moments(state) -> Moments:
+    """Position and momentum moments of a PointerState or MixedPointerState.
+
+    One pass over the position density and one momentum_density() call.
+    Raises NumericalGuardError when the two densities' totals differ by more
+    than NORM_TOL (Parseval).
+    """
     grid = state.grid
-    rho = state.position_density()
-    total = _density_total(grid, rho, grid.spacing)
-    mu = float(np.sum(grid.points * rho) * grid.spacing / total)
-    return float(np.sum((grid.points - mu) ** 2 * rho) * grid.spacing / total)
-
-
-def _momentum_density_checked(state) -> np.ndarray:
-    grid = state.grid
+    total_q, mu_q, var_q_ = _position_moments(state)
     rho_p = state.momentum_density()
-    total_q = float(state.position_density().sum() * grid.spacing)
     total_p = float(rho_p.sum() * grid.momentum_spacing)
     if abs(total_p - total_q) > NORM_TOL * max(1.0, total_q):
         raise NumericalGuardError(
             f"Parseval defect {abs(total_p - total_q):.3e} exceeds {NORM_TOL:.1e}"
         )
-    return rho_p
+    _, mu_p, var_p_ = _density_moments(grid.momenta_sorted, rho_p, grid.momentum_spacing)
+    return Moments(mu_q, var_q_, mu_p, var_p_)
+
+
+def mean_q(state) -> float:
+    """Mean pointer position, by grid quadrature of the position density."""
+    return _position_moments(state)[1]
+
+
+def var_q(state) -> float:
+    """Position variance about the mean."""
+    return _position_moments(state)[2]
 
 
 def mean_p(state) -> float:
     """Mean pointer momentum, from the momentum-lattice density."""
-    grid = state.grid
-    rho = _momentum_density_checked(state)
-    total = _density_total(grid, rho, grid.momentum_spacing)
-    return float(np.sum(grid.momenta_sorted * rho) * grid.momentum_spacing / total)
+    return moments(state).mean_p
 
 
 def var_p(state) -> float:
     """Momentum variance about the mean."""
-    grid = state.grid
-    rho = _momentum_density_checked(state)
-    total = _density_total(grid, rho, grid.momentum_spacing)
-    mu = float(np.sum(grid.momenta_sorted * rho) * grid.momentum_spacing / total)
-    return float(np.sum((grid.momenta_sorted - mu) ** 2 * rho) * grid.momentum_spacing / total)
+    return moments(state).var_p
 
 
 def gaussian_fidelity(state: PointerState, reference_shift: float, delta: float) -> float:
@@ -355,17 +372,43 @@ class Branch:
 class JointState:
     """System-pointer state after one impulse coupling.
 
-    One branch per distinct eigenvalue cluster of the measured observable;
-    branches with different eigenvalues are orthogonal in the system factor.
+    Stored as the FFT of the initial pointer (``spectrum``) and, per
+    distinct eigenvalue cluster, the pair (eigenvalue, projection of the
+    system state onto the eigenspace). Clusters with different eigenvalues
+    are orthogonal in the system factor.
     """
 
     grid: PointerGrid
-    branches: tuple[Branch, ...]
     basis: linalg.EigenDecomposition
+    g: float
+    spectrum: np.ndarray
+    clusters: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def system_dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """One Branch per cluster, its pointer translated by g*eigenvalue.
+
+        Built on first access, one inverse FFT per cluster; post_select
+        works from the spectrum and never needs them.
+        """
+        return tuple(
+            Branch(
+                eigenvalue=value,
+                system_vec=system_vec,
+                pointer=PointerState(
+                    self.grid,
+                    np.fft.ifft(
+                        self.spectrum * _translation_kernel(self.grid, self.g, [value], [1.0])
+                    ),
+                    _checked=True,
+                ),
+            )
+            for value, system_vec in self.clusters
+        )
 
     def norm(self) -> float:
         grid = self.grid
@@ -381,6 +424,41 @@ class JointState:
         for branch in self.branches:
             rho += branch.weight * branch.pointer.position_density()
         return rho
+
+
+def _translation_kernel(grid: PointerGrid, g: float, values, amplitudes) -> np.ndarray:
+    """sum_k amplitudes[k] * exp(-i g values[k] p) on grid.momenta (FFT order).
+
+    Multiplying a spectrum by it and inverting the FFT superposes the
+    packets translated by g*values[k]. Each term is a cos(|s| p) -
+    i a sign(s) sin(|s| p) with s = g*values[k], so shifts +s and -s share
+    one real cos and one real sin, which together cost less than a complex
+    exp. The lattice holds p_(n-j) = -p_j for 0 < j < n/2, so both are
+    evaluated on p_0 .. p_(n/2) only and mirrored (cos even, sin odd).
+    """
+    # |s| -> [cos coefficient, sin coefficient]
+    coefs: dict[float, list[complex]] = {}
+    for value, amplitude in zip(values, amplitudes):
+        if amplitude != 0.0:
+            shift = g * float(value)
+            pair = coefs.setdefault(abs(shift), [0j, 0j])
+            pair[0] += amplitude
+            pair[1] += -1j * amplitude if shift > 0.0 else 1j * amplitude
+    half = grid.n // 2
+    momenta = grid.momenta[: half + 1]
+    even = np.zeros(half + 1, dtype=complex)
+    odd = np.zeros(half + 1, dtype=complex)
+    for shift, (cos_coef, sin_coef) in coefs.items():
+        if shift == 0.0:
+            even += cos_coef
+            continue
+        angle = momenta * shift
+        even += cos_coef * np.cos(angle)
+        odd += sin_coef * np.sin(angle)
+    kernel = np.empty(grid.n, dtype=complex)
+    np.add(even, odd, out=kernel[: half + 1])
+    np.subtract(even[half - 1 : 0 : -1], odd[half - 1 : 0 : -1], out=kernel[half + 1 :])
+    return kernel
 
 
 def _require_system_state(psi, dim: int | None = None) -> np.ndarray:
@@ -409,14 +487,17 @@ def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
     Returns
     -------
     JointState
-        One branch per distinct eigenvalue cluster o of O, carrying the
-        eigenspace projection of psi and the pointer translated by g*o.
+        The pointer spectrum and, per distinct eigenvalue cluster o of O,
+        the eigenspace projection of psi; its ``branches`` carry the
+        pointer translated by g*o.
 
     Raises
     ------
     GridGuardError
         If any translation g*o exceeds a quarter of the grid extent, where
         the periodic wrap-around would fold the packet back into range.
+    NumericalGuardError
+        If the joint norm departs from 1 by more than NORM_TOL.
     """
     eig = linalg.eig_hermitian(operator)
     psi = _require_system_state(psi, eig.dim)
@@ -437,30 +518,31 @@ def _couple(
             f"{grid.extent:.6g}; enlarge the grid or reduce g"
         )
 
-    base_fft = np.fft.fft(pointer.samples)
-    momenta = grid.momenta
-    branches = []
+    spectrum = np.fft.fft(pointer.samples)
+    spectrum.setflags(write=False)
+    clusters = []
     for value, idx in eig.clusters():
         vecs = eig.eigenvectors[:, idx]
-        amps = vecs.conj().T @ psi
-        system_vec = vecs @ amps
-        shifted = np.fft.ifft(base_fft * np.exp(-1j * g * value * momenta))
-        branches.append(
-            Branch(
-                eigenvalue=value,
-                system_vec=system_vec,
-                pointer=PointerState(grid, shifted, _checked=True),
-            )
-        )
-    joint = JointState(grid=grid, branches=tuple(branches), basis=eig)
-    defect = abs(joint.norm() - 1.0)
+        clusters.append((value, vecs @ (vecs.conj().T @ psi)))
+    # Every translation phase has unit modulus, so the joint norm squared is
+    # the completeness sum of the cluster weights times the pointer's norm
+    # squared, read from its spectrum (Parseval).
+    completeness = sum(float(np.vdot(vec, vec).real) for _, vec in clusters)
+    pointer_sq = float(np.vdot(spectrum, spectrum).real) * grid.spacing / grid.n
+    defect = abs(sqrt(completeness * pointer_sq) - 1.0)
     if defect > NORM_TOL:
         raise NumericalGuardError(f"coupling broke unitarity: norm defect {defect:.3e}")
-    return joint
+    return JointState(
+        grid=grid, basis=eig, g=float(g), spectrum=spectrum, clusters=tuple(clusters)
+    )
 
 
 def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     """Project the system factor onto phi and renormalize the pointer.
+
+    The conditional pointer is sum_k <phi|P_k|psi> times the pointer
+    translated by g*o_k; it is built as one inverse FFT of the initial
+    spectrum times the summed translation phases.
 
     Returns the conditional pointer state and the post-selection
     probability (the squared norm of the unnormalized conditional
@@ -469,11 +551,11 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     """
     phi = _require_system_state(phi, joint.system_dim)
     grid = joint.grid
-    conditional = np.zeros(grid.n, dtype=complex)
-    for branch in joint.branches:
-        amplitude = complex(np.vdot(phi, branch.system_vec))
-        if amplitude != 0.0:
-            conditional += amplitude * branch.pointer.samples
+    values = [value for value, _ in joint.clusters]
+    amplitudes = [complex(np.vdot(phi, vec)) for _, vec in joint.clusters]
+    kernel = _translation_kernel(grid, joint.g, values, amplitudes)
+    kernel *= joint.spectrum
+    conditional = np.fft.ifft(kernel)
     probability = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
     if probability < PROBABILITY_FLOOR:
         raise PostSelectionImpossibleError(
@@ -483,7 +565,8 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     if probability > 1.0 + NORM_TOL:
         raise NumericalGuardError(f"post-selection probability {probability} exceeds 1")
     probability = min(probability, 1.0)
-    state = PointerState(grid, conditional / sqrt(probability), _checked=True)
+    conditional /= sqrt(probability)
+    state = PointerState(grid, conditional, _checked=True)
     return state, probability
 
 
@@ -491,7 +574,7 @@ def _translated_family(pointer: PointerState, g: float, values: np.ndarray) -> n
     """Stack of pointer samples translated by g*value for each value."""
     grid = pointer.grid
     base_fft = np.fft.fft(pointer.samples)
-    phases = np.exp(-1j * g * np.asarray(values)[:, None] * grid.momenta[None, :])
+    phases = np.stack([_translation_kernel(grid, g, [value], [1.0]) for value in values])
     return np.fft.ifft(base_fft[None, :] * phases, axis=1)
 
 

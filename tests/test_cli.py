@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from weakmeas import (
     serialize_scenario,
     three_box,
 )
-from weakmeas import textout
+from weakmeas import linalg, pointer, textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import SweepSpecError
 
@@ -428,3 +430,82 @@ def test_simulate_zero_coupling(capsys):
     values = parse_keyvalues(out)
     assert float(values["mean_Q"]) == pytest.approx(0.0, abs=1e-12)
     assert float(values["probability"]) == pytest.approx(1.0 / 9.0, rel=1e-10)
+
+
+def _counting_fft(monkeypatch, corrupt_after=None):
+    """Count numpy's fft/ifft calls; optionally scale every fft after the
+    first ``corrupt_after`` by 1 + 1e-6."""
+    calls = {"fft": 0, "ifft": 0}
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def counted_fft(a, *args, **kwargs):
+        calls["fft"] += 1
+        out = fft(a, *args, **kwargs)
+        if corrupt_after is not None and calls["fft"] > corrupt_after:
+            out *= 1.0 + 1e-6
+        return out
+
+    def counted_ifft(a, *args, **kwargs):
+        calls["ifft"] += 1
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(np.fft, "ifft", counted_ifft)
+    return calls
+
+
+def test_simulate_makes_three_ffts(tmp_path, capsys, monkeypatch):
+    # fft of the initial pointer, one ifft after post-selection, one fft
+    # for the momentum moments - whatever the number of eigenvalue clusters
+    path = dense_scenario_file(tmp_path)  # 4 clusters
+    for scenario in ("three-box/C", path):
+        calls = _counting_fft(monkeypatch)
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", scenario)
+        assert code == 0
+        assert calls == {"fft": 2, "ifft": 1}
+
+
+def test_exit_code_unitarity_guard(capsys, monkeypatch):
+    eig_hermitian = linalg.eig_hermitian
+
+    def skewed(m):
+        eig = eig_hermitian(m)
+        vectors = eig.eigenvectors.copy()
+        vectors[0, -1] += 1e-3  # no longer orthonormal
+        return linalg.EigenDecomposition(eig.eigenvalues, vectors)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", skewed)
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "spin-amp/100")
+    assert code == 4
+    assert "unitarity" in err
+
+
+def test_exit_code_parseval_guard(capsys, monkeypatch):
+    _counting_fft(monkeypatch, corrupt_after=1)  # the momentum-moments fft
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "three-box/C")
+    assert code == 4
+    assert "Parseval" in err
+
+
+def test_simulate_at_grid_cap(capsys):
+    # n = 2^20 took 0.5 s and a 80 MB tracemalloc peak on a 2-core Xeon
+    cap = pointer.GRID_MAX_N
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", "three-box/C", "--grid-n", str(cap)
+        )
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert float(parse_keyvalues(out)["mean_Q"]) == pytest.approx(-0.05, abs=1e-3)
+    assert elapsed < 10.0
+    assert peak < 160 * 2**20
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", "three-box/C", "--grid-n", str(2 * cap)
+    )
+    assert code == 2
+    assert "power of two" in err

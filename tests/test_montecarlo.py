@@ -305,3 +305,25 @@ def test_columns_behave_as_records():
     assert estimate_from_records(records, 0.05) == estimate_from_records(columns, 0.05)
     with pytest.raises(IndexError):
         columns[300]
+
+
+def test_trial_cap_rejects_before_drawing(capsys):
+    sc = three_box("C")
+    sc.run()
+    cap = montecarlo.MAX_TRIALS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="exceeds the cap"):
+            run_records(0, cap + 1, sc)
+        with pytest.raises(InputError, match="exceeds the cap"):
+            estimate_weak_value(0, cap + 1, sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the columns of cap + 1 trials would take ~850 MB
+    assert peak < 2**20
+    assert main(["sample", "--scenario", "three-box/C", "--n", str(cap + 1)]) == 2
+    assert main(
+        ["scan", "--scenario", "three-box/C", "--sweep", f"n_trials=10,{cap + 1}"]
+    ) == 2
+    assert "exceeds the cap" in capsys.readouterr().err

@@ -1,13 +1,15 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from weakmeas import pointer
+from weakmeas import linalg, pointer, three_box
 from weakmeas.errors import (
     DimensionMismatchError,
     GridGuardError,
     InputError,
+    NumericalGuardError,
     PostSelectionImpossibleError,
 )
 from weakmeas.pointer import (
@@ -20,6 +22,7 @@ from weakmeas.pointer import (
     make_gaussian,
     mean_p,
     mean_q,
+    moments,
     post_select,
     sequential_couple,
     var_p,
@@ -438,3 +441,128 @@ def test_gaussian_minimum_uncertainty_product():
         grid = default_grid(delta, 0.0)
         pt = make_gaussian(grid, delta)
         assert var_q(pt) * var_p(pt) == pytest.approx(0.25, rel=1e-10)
+
+
+# ------------------------------------------------- momentum-space selection
+
+
+def _reference_post_select(pre, post, operator, pt, g):
+    """The conditional pointer as one inverse FFT per eigenvalue cluster,
+    the packets summed in position space."""
+    eig = linalg.eig_hermitian(operator)
+    grid = pt.grid
+    base_fft = np.fft.fft(pt.samples)
+    conditional = np.zeros(grid.n, dtype=complex)
+    for value, idx in eig.clusters():
+        vecs = eig.eigenvectors[:, idx]
+        amplitude = np.vdot(post, vecs @ (vecs.conj().T @ pre))
+        packet = np.fft.ifft(base_fft * np.exp(-1j * g * value * grid.momenta))
+        conditional += amplitude * packet
+    probability = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+    return conditional / np.sqrt(probability), probability
+
+
+def test_post_select_matches_per_cluster_reference():
+    rng = np.random.default_rng(505)
+    cases = []
+    while len(cases) < 40:
+        dim = int(rng.integers(2, 6))
+        pre, post = random_state(rng, dim), random_state(rng, dim)
+        if abs(np.vdot(post, pre)) < 0.2:
+            continue
+        cases.append((pre, post, random_hermitian(rng, dim), float(rng.uniform(-1.5, 1.5))))
+    for box in ("ABC", "C"):
+        sc = three_box(box)
+        cases.append((sc.pre, sc.post, sc.operator, 0.3))
+    # a 2-fold projector in a random basis of dimension 4
+    basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    projector = basis[:, :2] @ basis[:, :2].conj().T
+    cases.append((random_state(rng, 4), random_state(rng, 4), projector, 0.7))
+    for pre, post, operator, g in cases:
+        bound = float(np.max(np.abs(np.linalg.eigvalsh(operator))))
+        pt = make_gaussian(default_grid(1.0, abs(g) * bound), 1.0)
+        state, prob = post_select(couple(pre, pt, operator, g), post)
+        want, want_prob = _reference_post_select(pre, post, operator, pt, g)
+        assert np.max(np.abs(state.samples - want)) <= 1e-12
+        assert abs(prob - want_prob) <= 1e-12 * want_prob
+
+
+def test_branches_are_translated_packets_built_on_request():
+    grid = default_grid(1.0, 0.6)
+    pt = make_gaussian(grid, 1.0)
+    operator = np.diag([0.6, 0.6, -0.4]).astype(complex)
+    joint = couple(np.ones(3) / np.sqrt(3.0), pt, operator, g=1.0)
+    post_select(joint, np.array([1.0, 0.0, 0.0]))
+    assert "branches" not in vars(joint)
+    assert [b.eigenvalue for b in joint.branches] == pytest.approx([-0.4, 0.6])
+    for branch, weight in zip(joint.branches, (1 / 3, 2 / 3)):
+        assert branch.weight == pytest.approx(weight, rel=1e-12)
+        shifted = make_gaussian(grid, 1.0, center=branch.eigenvalue)
+        assert np.max(np.abs(branch.pointer.samples - shifted.samples)) < 1e-12
+
+
+def test_unitarity_guard_trips_on_non_orthonormal_eigenvectors():
+    grid = default_grid(1.0, 1.0)
+    pt = make_gaussian(grid, 1.0)
+    skewed = linalg.EigenDecomposition(
+        eigenvalues=np.array([-1.0, 1.0]),
+        eigenvectors=np.array([[1.0, 1e-3], [0.0, 1.0]], dtype=complex),
+    )
+    psi = np.array([0.6, 0.8], dtype=complex)
+    with pytest.raises(NumericalGuardError, match="unitarity"):
+        pointer._couple(psi, pt, skewed, 0.5)
+
+
+def test_post_select_probability_above_one_guard():
+    grid = default_grid(1.0, 1.0)
+    up = np.array([1.0, 0.0], dtype=complex)
+    joint = couple(up, make_gaussian(grid, 1.0), SZ, g=0.5)
+    inflated = dataclasses.replace(joint, spectrum=joint.spectrum * 1.01)
+    with pytest.raises(NumericalGuardError, match="exceeds 1"):
+        post_select(inflated, up)
+
+
+def test_moments_match_single_moment_functions():
+    grid = default_grid(1.0, 1.0)
+    pre = np.array([0.8, 0.6], dtype=complex)
+    state, _ = post_select(couple(pre, make_gaussian(grid, 1.0), SZ, g=0.7),
+                           np.array([1.0, 1.0j]) / np.sqrt(2))
+    mixed = MixedPointerState(grid, state.position_density(), state.momentum_density())
+    for st in (state, mixed):
+        m = moments(st)
+        assert m == (mean_q(st), var_q(st), mean_p(st), var_p(st))
+        assert m.mean_p != 0.0
+
+
+class _CorruptedDensities:
+    """A MixedPointerState-like readout whose momentum density carries 1e-6
+    more mass than its position density."""
+
+    def __init__(self, state):
+        self.grid = state.grid
+        self._rho_q = state.position_density()
+        self._rho_p = state.momentum_density() * (1.0 + 1e-6)
+
+    def position_density(self):
+        return self._rho_q
+
+    def momentum_density(self):
+        return self._rho_p
+
+
+def test_parseval_guard_in_moments():
+    grid = default_grid(1.0, 1.0)
+    state = make_gaussian(grid, 1.0)
+    bad = _CorruptedDensities(state)
+    for fn in (moments, mean_p, var_p):
+        with pytest.raises(NumericalGuardError, match="Parseval"):
+            fn(bad)
+    # position moments need no momentum density
+    assert mean_q(bad) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_momentum_density_drops_the_q_min_phase():
+    grid = PointerGrid(n=512, q_min=-7.3, q_max=9.1)
+    state = make_gaussian(grid, 1.0, center=0.9)
+    rho = state.momentum_density()
+    assert np.allclose(rho, np.abs(state.momentum_wavefunction()) ** 2, rtol=0, atol=1e-15)

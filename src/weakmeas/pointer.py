@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi, sqrt
+from math import pi, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,10 @@ DEFAULT_GRID_N = 2**12
 NORM_TOL = 1e-8
 LEAKAGE_TOL = 1e-6
 PROBABILITY_FLOOR = 1e-300
-SEQUENTIAL_INDEX_CAP = 2**24
+# 4^11: K = 11 dense dim-4 couplings finish in ~2 s under 0.5 GB (README).
+SEQUENTIAL_INDEX_CAP = 2**22
+# Width below which a mode product runs as one GEMM against matrix (x) identity.
+_GEMM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -570,12 +573,83 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     return state, probability
 
 
-def _translated_family(pointer: PointerState, g: float, values: np.ndarray) -> np.ndarray:
-    """Stack of pointer samples translated by g*value for each value."""
-    grid = pointer.grid
+def _translated_spectra(pointer: PointerState, g: float, values: np.ndarray) -> np.ndarray:
+    """FFTs of the pointer translated by g*value, one row per value (FFT order)."""
     base_fft = np.fft.fft(pointer.samples)
-    phases = np.stack([_translation_kernel(grid, g, [value], [1.0]) for value in values])
-    return np.fft.ifft(base_fft[None, :] * phases, axis=1)
+    return np.stack([base_fft * _translation_kernel(pointer.grid, g, [value], [1.0])
+                     for value in values])
+
+
+def _mode_product(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    """out[..j..] = sum_i matrix[j, i] * tensor[..i..] on ``axis`` (a new array)."""
+    m, right = tensor.shape[axis], prod(tensor.shape[axis + 1 :])
+    if right == 1 or m * right <= _GEMM_BLOCK:
+        # Few trailing elements per block: one GEMM against matrix (x) identity
+        # beats one tiny GEMM per block.
+        out = tensor.reshape(-1, m * right) @ np.kron(matrix, np.eye(right)).T
+    else:
+        out = np.matmul(matrix, tensor.reshape(-1, m, right))
+    return out.reshape(tensor.shape)
+
+
+def _open_mode_gram(tensor: np.ndarray, other: np.ndarray, axis: int) -> np.ndarray:
+    """W[i, j] = sum over every index but ``axis`` of tensor[..i..] * other[..j..]."""
+    m, right = tensor.shape[axis], prod(tensor.shape[axis + 1 :])
+    if right == 1 or m * right <= _GEMM_BLOCK:
+        block = m * right
+        gram = tensor.reshape(-1, block).T @ other.reshape(-1, block)
+        return np.trace(gram.reshape(m, right, m, right), axis1=1, axis2=3)
+    tensor3 = tensor.reshape(-1, m, right)
+    other3 = other.reshape(-1, m, right).transpose(0, 2, 1)
+    # One (m, m) product per leading index; chunked so the stack of products
+    # never outgrows the tensor itself.
+    step = max(1, tensor.size // (m * m))
+    weights = np.zeros((m, m), dtype=complex)
+    for start in range(0, tensor3.shape[0], step):
+        stop = start + step
+        weights += np.matmul(tensor3[start:stop], other3[start:stop]).sum(axis=0)
+    return weights
+
+
+def _mixed_density(weights: np.ndarray, packets: np.ndarray) -> np.ndarray:
+    """sum_(i,j) W[i, j] f_i conj(f_j) for the rows f of ``packets`` (real)."""
+    mixed = weights.T @ packets
+    mixed *= packets.conj()
+    return mixed.real.sum(axis=0)
+
+
+def _marginal_weights(amplitudes: np.ndarray, overlaps: list[np.ndarray]) -> list[np.ndarray]:
+    """Reduced branch weights W_k[i_k, j_k] of every mode k.
+
+    W_k = sum over all other indices of A[i] conj(A[j]) prod_(l != k)
+    S_l[j_l, i_l]: A with every overlap but S_k applied, one mode at a time,
+    then contracted with conj(A) on all axes but k. Modes are applied by
+    halving: the left half's products serve every right-half marginal and
+    the reverse, so K marginals take about K log2 K mode products, not K^2.
+    """
+    if amplitudes.ndim == 1:
+        return [np.outer(amplitudes, amplitudes.conj())]
+    return _weights_of_modes(amplitudes, amplitudes, overlaps, 0, amplitudes.ndim)
+
+
+def _weights_of_modes(
+    tensor: np.ndarray, amplitudes: np.ndarray, overlaps: list[np.ndarray], lo: int, hi: int
+) -> list[np.ndarray]:
+    """W_lo .. W_(hi-1), from A with every overlap applied but those of lo..hi-1."""
+    if hi - lo == 1:
+        # W = conj(sum conj(tensor) A). ``tensor`` is a fresh product that
+        # nothing reads after this, so it is conjugated in place rather than
+        # keeping a conjugate copy of A alive.
+        np.conjugate(tensor, out=tensor)
+        return [_open_mode_gram(tensor, amplitudes, lo).conj()]
+    mid = (lo + hi) // 2
+    weights = []
+    for keep, apply in (((lo, mid), range(mid, hi)), ((mid, hi), range(lo, mid))):
+        part = tensor
+        for axis in apply:
+            part = _mode_product(part, axis, overlaps[axis])
+        weights += _weights_of_modes(part, amplitudes, overlaps, *keep)
+    return weights
 
 
 def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], float]:
@@ -603,8 +677,10 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     Notes
     -----
     The joint state is expanded over eigenvalue-cluster branch sequences;
-    the branch index space (product of cluster counts) is capped at
-    SEQUENTIAL_INDEX_CAP. Pointer grids are never tensored together.
+    the branch index space N (product of the cluster counts m_k) is capped
+    at SEQUENTIAL_INDEX_CAP. The branch-weight contraction applies one
+    overlap matrix per mode, about N * sum(m_k) * log2(K) complex
+    multiply-adds in all. Pointer grids are never tensored together.
     """
     couplings = list(couplings)
     if not couplings:
@@ -643,48 +719,42 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         cluster_vecs.append([eig.eigenvectors[:, idx] for _, idx in clusters])
 
     counts = [values.size for values in cluster_values]
-    total_indices = 1
-    for m in counts:
-        total_indices *= m
+    total_indices = prod(counts)
     if total_indices > SEQUENTIAL_INDEX_CAP:
         raise DimensionMismatchError(
             f"branch index space {total_indices} exceeds the cap {SEQUENTIAL_INDEX_CAP}"
         )
 
-    # Amplitude tensor over branch sequences: A[i_1..i_K] = <phi| P_K ... P_1 |psi>,
-    # built by projecting the running system vector cluster by cluster.
+    # Amplitude tensor over branch sequences: A[i_1..i_K] = <phi| P_K ... P_1 |psi>.
+    # Rows of ``vectors`` are the system vectors P_l ... P_1 psi over the index
+    # prefix i_1..i_l; the last projection is folded into the overlap with phi.
     vectors = psi[None, :]
-    for vecs_k in cluster_vecs:
-        projected = [
-            (vk @ (vk.conj().T @ vectors.T)).T  # (n_prefix, dim) for one cluster
-            for vk in vecs_k
-        ]
-        vectors = np.stack(projected, axis=1).reshape(-1, dim)
-    amplitudes = (vectors @ phi.conj()).reshape(counts)
+    for vecs_k in cluster_vecs[:-1]:
+        if dim <= vectors.shape[0]:
+            # Row v goes to rows v^T P_c^T, c last: one GEMM against the stacked
+            # projectors (dim x m*dim), which are no larger than the result.
+            stacked = np.concatenate([(vk @ vk.conj().T).T for vk in vecs_k], axis=1)
+            vectors = vectors @ stacked
+        else:
+            vectors = np.stack([(vectors @ vk.conj()) @ vk.T for vk in vecs_k], axis=1)
+        vectors = vectors.reshape(-1, dim)
+    selected = np.stack([vk @ (vk.conj().T @ phi) for vk in cluster_vecs[-1]], axis=1)
+    amplitudes = (vectors @ selected.conj()).reshape(counts)
+    del vectors
 
-    families = [
-        _translated_family(ptr, g, values)
+    spectra = [
+        _translated_spectra(ptr, g, values)
         for ptr, g, values in zip(pointers, gains, cluster_values)
     ]
     overlaps = [
-        fam.conj() @ fam.T * ptr.grid.spacing  # S[j, i] = <psi_j | psi_i>
-        for fam, ptr in zip(families, pointers)
+        # S[j, i] = <psi_j | psi_i>, summed over the spectra (Parseval)
+        spectrum.conj() @ spectrum.T * (ptr.grid.spacing / ptr.grid.n)
+        for spectrum, ptr in zip(spectra, pointers)
     ]
 
-    k_total = len(couplings)
-    idx_i = list(range(k_total))
-    idx_j = list(range(k_total, 2 * k_total))
-
-    def _contract(open_axis: int | None):
-        operands = [amplitudes, idx_i, amplitudes.conj(), idx_j]
-        for l in range(k_total):
-            if l != open_axis:
-                operands.extend([overlaps[l], [idx_j[l], idx_i[l]]])
-        if open_axis is None:
-            return np.einsum(*operands, [])
-        return np.einsum(*operands, [idx_i[open_axis], idx_j[open_axis]])
-
-    probability = float(np.real(_contract(None)))
+    weights = _marginal_weights(amplitudes, overlaps)
+    # sum_(i,j) A[i] conj(A[j]) prod_l S_l[j_l, i_l], read off any marginal.
+    probability = float(np.real(np.sum(weights[0] * overlaps[0].T)))
     if probability < PROBABILITY_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection probability {probability:.3e} underflows"
@@ -694,19 +764,11 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     probability = min(probability, 1.0)
 
     marginals = []
-    for k in range(k_total):
-        weights = _contract(k)  # W[i_k, j_k]
-        fam = families[k]
-        grid_k = pointers[k].grid
-        rho_q = np.real(np.einsum(weights, [0, 1], fam, [0, 2], fam.conj(), [1, 2], [2]))
-        rho_q /= probability
-
-        phi_fam = np.fft.fftshift(np.fft.fft(fam, axis=1), axes=1)
-        phi_fam *= grid_k.spacing / sqrt(2.0 * pi)
-        rho_p = np.real(
-            np.einsum(weights, [0, 1], phi_fam, [0, 2], phi_fam.conj(), [1, 2], [2])
-        )
-        rho_p /= probability
+    for w, spectrum, ptr in zip(weights, spectra, pointers):
+        grid_k = ptr.grid
+        rho_q = _mixed_density(w, np.fft.ifft(spectrum, axis=1)) / probability
+        rho_p = _mixed_density(w, np.fft.fftshift(spectrum, axes=1))
+        rho_p *= grid_k.spacing**2 / (2.0 * pi) / probability
         marginals.append(MixedPointerState(grid_k, rho_q, rho_p))
     return marginals, probability
 

@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,13 @@ from weakmeas.pointer import (
     var_q,
 )
 
-from oracles import conditional_oracle, gaussian_momentum_density, random_hermitian, random_state
+from oracles import (
+    conditional_oracle,
+    gaussian_momentum_density,
+    random_hermitian,
+    random_state,
+    sequential_oracle,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -321,6 +329,214 @@ def test_sequential_validation():
         sequential_couple(pre, [(np.eye(3), 0.05, pt)], post)
     with pytest.raises(PostSelectionImpossibleError):
         sequential_couple(np.array([1.0, 0.0]), [(np.eye(2), 0.01, pt)], np.array([0.0, 1.0]))
+
+
+def _random_observable(rng, dim, values=None):
+    """U diag(values) U^dagger for a random unitary U; values default to a
+    random spectrum scaled to max |o| = 1."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    if values is None:
+        values = rng.uniform(-1.0, 1.0, size=dim)
+        values /= np.max(np.abs(values))
+    return (basis * np.asarray(values, dtype=float)) @ basis.conj().T
+
+
+def _selection_pair(rng, dim):
+    while True:
+        pre, post = random_state(rng, dim), random_state(rng, dim)
+        if abs(np.vdot(post, pre)) >= 0.2:
+            return pre, post
+
+
+@pytest.mark.parametrize("k_total", [2, 3, 4, 5, 6])
+def test_sequential_dense_matches_closed_form(k_total):
+    # Dense random couplings against the closed-form Gaussian-overlap oracle.
+    # One observable is degenerate (two 2-fold eigenvalues in dim 4, or a
+    # 2-fold one in dim 3), so the cluster counts m_k differ across
+    # couplings; every pointer has its own width.
+    rng = np.random.default_rng(600 + k_total)
+    dim = 3 + k_total % 2
+    pre, post = _selection_pair(rng, dim)
+    degenerate_values = [0.8, 0.8, -0.5, -0.5][:dim] if dim == 4 else [0.8, 0.8, -0.5]
+    couplings, spec = [], []
+    for k in range(k_total):
+        values = degenerate_values if k == 1 else None
+        operator = _random_observable(rng, dim, values)
+        delta = float(rng.uniform(0.5, 2.0))
+        bound = float(np.max(np.abs(np.linalg.eigvalsh(operator))))
+        g = float(rng.uniform(0.3, 0.9)) * 0.1 * delta / bound * rng.choice([-1.0, 1.0])
+        pt = make_gaussian(default_grid(delta, abs(g) * bound), delta)
+        couplings.append((operator, g, pt))
+        spec.append((operator, g, delta))
+    marginals, prob = sequential_couple(pre, couplings, post)
+    want_prob, want = sequential_oracle(pre, post, spec)
+    assert prob == pytest.approx(want_prob, rel=1e-9)
+    for marginal, oracle, (_, _, delta) in zip(marginals, want, spec):
+        got = moments(marginal)
+        assert abs(got.mean_q - oracle["mean_q"]) <= 1e-8 * delta
+        assert abs(got.var_q - oracle["var_q"]) <= 1e-8 * delta**2
+        assert abs(got.mean_p - oracle["mean_p"]) <= 1e-8 / delta
+        assert abs(got.var_p - oracle["var_p"]) <= 1e-8 / delta**2
+
+
+def _einsum_sequential_reference(psi, couplings, phi):
+    """The branch contraction as one einsum over all 2K branch indices per
+    output (probability, then each marginal), with the packets translated by
+    complex phases and one forward FFT per packet family for the momentum
+    densities. Returns (probability, [(rho_q, rho_p), ...])."""
+    dim = psi.size
+    vectors = psi[None, :]
+    overlaps, families = [], []
+    for operator, g, pt in couplings:
+        eig = linalg.eig_hermitian(operator)
+        clusters = eig.clusters()
+        vectors = np.stack(
+            [vectors @ (eig.eigenvectors[:, idx] @ eig.eigenvectors[:, idx].conj().T).T
+             for _, idx in clusters],
+            axis=1,
+        ).reshape(-1, dim)
+        base_fft = np.fft.fft(pt.samples)
+        fam = np.fft.ifft(
+            base_fft[None, :]
+            * np.exp(-1j * g * np.array([v for v, _ in clusters])[:, None] * pt.grid.momenta),
+            axis=1,
+        )
+        families.append(fam)
+        overlaps.append(fam.conj() @ fam.T * pt.grid.spacing)
+    counts = [fam.shape[0] for fam in families]
+    amplitudes = (vectors @ phi.conj()).reshape(counts)
+    k_total = len(counts)
+    idx_i, idx_j = list(range(k_total)), list(range(k_total, 2 * k_total))
+
+    def contract(open_axis):
+        operands = [amplitudes, idx_i, amplitudes.conj(), idx_j]
+        for l in range(k_total):
+            if l != open_axis:
+                operands.extend([overlaps[l], [idx_j[l], idx_i[l]]])
+        out = [] if open_axis is None else [idx_i[open_axis], idx_j[open_axis]]
+        return np.einsum(*operands, out)
+
+    probability = float(np.real(contract(None)))
+    densities = []
+    for k, ((_, _, pt), fam) in enumerate(zip(couplings, families)):
+        weights = contract(k)
+        rho_q = np.real(np.einsum(weights, [0, 1], fam, [0, 2], fam.conj(), [1, 2], [2]))
+        phi_fam = np.fft.fftshift(np.fft.fft(fam, axis=1), axes=1)
+        phi_fam *= pt.grid.spacing / np.sqrt(2.0 * np.pi)
+        rho_p = np.real(
+            np.einsum(weights, [0, 1], phi_fam, [0, 2], phi_fam.conj(), [1, 2], [2])
+        )
+        densities.append((rho_q / probability, rho_p / probability))
+    return probability, densities
+
+
+def test_sequential_matches_einsum_reference():
+    rng = np.random.default_rng(707)
+    cases = []
+    for k_total, dim in [(1, 2), (2, 3), (3, 4), (4, 2), (5, 4), (5, 3)]:
+        pre, post = _selection_pair(rng, dim)
+        cases.append((pre, post, [_random_observable(rng, dim) for _ in range(k_total)]))
+    # Cluster counts (20, 20, 2) in dim 20: the middle marginal's blocks
+    # (20 x 2) are too wide for one GEMM, and its 20 (20, 20) products are
+    # summed in chunks of 2.
+    pre, post = _selection_pair(rng, 20)
+    cases.append((pre, post, [
+        _random_observable(rng, 20),
+        _random_observable(rng, 20),
+        _random_observable(rng, 20, np.repeat([-0.6, 1.0], 10)),
+    ]))
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    for pre, post, operators in cases:
+        couplings = [(op, float(rng.uniform(0.04, 0.09)), pt) for op in operators]
+        marginals, prob = sequential_couple(pre, couplings, post)
+        want_prob, want = _einsum_sequential_reference(pre, couplings, post)
+        assert abs(prob - want_prob) <= 1e-12 * want_prob
+        for marginal, (rho_q, rho_p) in zip(marginals, want):
+            got_q, got_p = marginal.position_density(), marginal.momentum_density()
+            assert np.max(np.abs(got_q - rho_q)) <= 1e-12 * np.max(rho_q)
+            assert np.max(np.abs(got_p - rho_p)) <= 1e-12 * np.max(rho_p)
+
+
+def test_sequential_makes_two_ffts_per_coupling(monkeypatch):
+    # One fft of each pointer and one batched ifft of its translated family;
+    # the momentum densities come from the translated spectra directly.
+    calls = {"fft": 0, "ifft": 0}
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", ifft))
+    rng = np.random.default_rng(808)
+    pre, post = _selection_pair(rng, 4)
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    couplings = [(_random_observable(rng, 4), 0.05, pt) for _ in range(5)]
+    sequential_couple(pre, couplings, post)
+    assert calls == {"fft": 5, "ifft": 5}
+
+
+def test_sequential_index_cap_guard_trips_before_building_amplitudes():
+    # 5 * 3^8 * 4^3 * 2 = 4199040, the smallest 5-smooth count above 2^22,
+    # from diagonal observables in dim 5 with that many distinct eigenvalues.
+    counts = [5] + [3] * 8 + [4] * 3 + [2]
+    assert np.prod(counts) == 4199040 > pointer.SEQUENTIAL_INDEX_CAP == 2**22
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    couplings = [
+        (np.diag(np.concatenate([np.linspace(-1.0, 1.0, m), np.ones(5 - m)])), 0.05, pt)
+        for m in counts
+    ]
+    psi = np.ones(5) / np.sqrt(5.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match="exceeds the cap"):
+            sequential_couple(psi, couplings, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the amplitude tensor alone would take 64 MiB
+
+
+def test_sequential_at_index_cap_within_budget():
+    # K = 11 dense dim-4 couplings: 4^11 = 2^22 branch sequences, the cap.
+    # The contraction holds about log2(K) + 2 tensors of N complex numbers
+    # (64 MiB each here); unloaded it takes ~2 s on 2 cores (README budget:
+    # 10 s, 2 GB peak RSS). The time bound leaves room for a loaded machine.
+    rng = np.random.default_rng(909)
+    pre, post = _selection_pair(rng, 4)
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    couplings = [(_random_observable(rng, 4), float(rng.uniform(0.04, 0.09)), pt)
+                 for _ in range(11)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        marginals, prob = sequential_couple(pre, couplings, post)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 4**11 == pointer.SEQUENTIAL_INDEX_CAP
+    assert 0.0 < prob <= 1.0
+    assert len(marginals) == 11
+    assert peak < 512 * 2**20
+    assert elapsed < 30.0
+
+
+def test_sequential_probability_above_one_guard(monkeypatch):
+    eig_hermitian = linalg.eig_hermitian
+
+    def inflated(m):
+        eig = eig_hermitian(m)
+        return linalg.EigenDecomposition(eig.eigenvalues, eig.eigenvectors * 1.01)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", inflated)
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    up = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(NumericalGuardError, match="exceeds 1"):
+        sequential_couple(up, [(SZ, 0.05, pt), (SZ, 0.05, pt)], up)
 
 
 def test_mixed_state_validation():

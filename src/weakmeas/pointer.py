@@ -46,7 +46,13 @@ LEAKAGE_TOL = 1e-6
 PROBABILITY_FLOOR = 1e-300
 # 4^11: K = 11 dense dim-4 couplings finish in ~2 s under 0.5 GB (README).
 SEQUENTIAL_INDEX_CAP = 2**22
-# Width below which a mode product runs as one GEMM against matrix (x) identity.
+# Caps on _sequential_cost, set from the same 10 s / 2 GB budget (README).
+SEQUENTIAL_WORK_CAP = 2**34
+SEQUENTIAL_HELD_CAP = 2**26
+# Mode products whose trailing block (m * right entries) is at most this wide
+# run as one GEMM against matrix (x) identity instead of one tiny matmul per
+# block. K = 22 dim-2 couplings at the index cap take ~4 s this way and ~8 s
+# with a matmul per block; any width from 16 to 128 does as well as 32.
 _GEMM_BLOCK = 32
 
 
@@ -584,8 +590,6 @@ def _mode_product(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarr
     """out[..j..] = sum_i matrix[j, i] * tensor[..i..] on ``axis`` (a new array)."""
     m, right = tensor.shape[axis], prod(tensor.shape[axis + 1 :])
     if right == 1 or m * right <= _GEMM_BLOCK:
-        # Few trailing elements per block: one GEMM against matrix (x) identity
-        # beats one tiny GEMM per block.
         out = tensor.reshape(-1, m * right) @ np.kron(matrix, np.eye(right)).T
     else:
         out = np.matmul(matrix, tensor.reshape(-1, m, right))
@@ -652,6 +656,33 @@ def _weights_of_modes(
     return weights
 
 
+def _sequential_cost(dim: int, counts: list[int], sizes: list[int]) -> tuple[int, int]:
+    """Estimated (complex multiply-adds, complex numbers held at the peak).
+
+    Amplitudes: each projecting stage costs 2 dim^2 per incoming system
+    vector and holds its outgoing vectors twice (the per-cluster pieces and
+    their stack); the overlap with phi costs dim per entry. Contraction:
+    about log2(K) + 1 passes of N * sum(m_k), holding log2(K) + 2 tensors of
+    N entries. Pointers: m_k^2 * n_k for the overlap matrix and for each of
+    the two densities, plus 32 log2(n_k) per spectrum entry for the FFTs and
+    elementwise passes (as timed against the GEMMs); every spectrum stays
+    alive, and one coupling at a time adds three more arrays of its size.
+    """
+    total = prod(counts)
+    depth = (len(counts) - 1).bit_length()  # ceil(log2 K)
+    rows = 1
+    work = 0
+    for m in counts[:-1]:
+        work += 2 * rows * dim * dim
+        rows *= m
+    work += total * dim + total * sum(counts) * (depth + 1)
+    work += sum(m * n * (3 * m + 32 * (n.bit_length() - 1)) for m, n in zip(counts, sizes))
+    held = max(2 * rows * dim + total, total * (depth + 2))
+    held += sum(m * n + m * m for m, n in zip(counts, sizes))
+    held += 3 * max(m * n for m, n in zip(counts, sizes))
+    return work, held
+
+
 def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], float]:
     """Couple several pointers to the system in order, then post-select.
 
@@ -680,7 +711,10 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     the branch index space N (product of the cluster counts m_k) is capped
     at SEQUENTIAL_INDEX_CAP. The branch-weight contraction applies one
     overlap matrix per mode, about N * sum(m_k) * log2(K) complex
-    multiply-adds in all. Pointer grids are never tensored together.
+    multiply-adds in all. The estimated work and peak memory of the whole
+    call (_sequential_cost) are capped at SEQUENTIAL_WORK_CAP and
+    SEQUENTIAL_HELD_CAP. All three caps raise DimensionMismatchError before
+    the amplitude tensor is built. Pointer grids are never tensored together.
     """
     couplings = list(couplings)
     if not couplings:
@@ -724,19 +758,24 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         raise DimensionMismatchError(
             f"branch index space {total_indices} exceeds the cap {SEQUENTIAL_INDEX_CAP}"
         )
+    work, held = _sequential_cost(dim, counts, [ptr.grid.n for ptr in pointers])
+    if work > SEQUENTIAL_WORK_CAP:
+        raise DimensionMismatchError(
+            f"estimated work {work:.3g} complex multiply-adds exceeds the cap "
+            f"{SEQUENTIAL_WORK_CAP:.3g}"
+        )
+    if held > SEQUENTIAL_HELD_CAP:
+        raise DimensionMismatchError(
+            f"estimated peak of {held:.3g} complex numbers held exceeds the cap "
+            f"{SEQUENTIAL_HELD_CAP:.3g}"
+        )
 
     # Amplitude tensor over branch sequences: A[i_1..i_K] = <phi| P_K ... P_1 |psi>.
     # Rows of ``vectors`` are the system vectors P_l ... P_1 psi over the index
     # prefix i_1..i_l; the last projection is folded into the overlap with phi.
     vectors = psi[None, :]
     for vecs_k in cluster_vecs[:-1]:
-        if dim <= vectors.shape[0]:
-            # Row v goes to rows v^T P_c^T, c last: one GEMM against the stacked
-            # projectors (dim x m*dim), which are no larger than the result.
-            stacked = np.concatenate([(vk @ vk.conj().T).T for vk in vecs_k], axis=1)
-            vectors = vectors @ stacked
-        else:
-            vectors = np.stack([(vectors @ vk.conj()) @ vk.T for vk in vecs_k], axis=1)
+        vectors = np.stack([(vectors @ vk.conj()) @ vk.T for vk in vecs_k], axis=1)
         vectors = vectors.reshape(-1, dim)
     selected = np.stack([vk @ (vk.conj().T @ phi) for vk in cluster_vecs[-1]], axis=1)
     amplitudes = (vectors @ selected.conj()).reshape(counts)

@@ -500,11 +500,65 @@ def test_sequential_index_cap_guard_trips_before_building_amplitudes():
     assert peak < 2**20  # the amplitude tensor alone would take 64 MiB
 
 
+def _diagonal_couplings(dim, counts, pt):
+    """Diagonal observables in ``dim`` with m distinct eigenvalues each."""
+    return [
+        (np.diag(np.concatenate([np.linspace(-1.0, 1.0, m), np.ones(dim - m)])), 0.05, pt)
+        for m in counts
+    ]
+
+
+def test_sequential_work_cap_guard_trips_before_building_amplitudes():
+    # Two couplings in dim 512 with 512 and 51 clusters on n = 2^14 pointers:
+    # N = 26112 is far below the index cap, but the overlaps and densities
+    # (m^2 n) and the FFT passes put the estimate just above the work cap;
+    # 50 clusters instead of 51 would pass it.
+    n = 2**14
+    assert pointer._sequential_cost(512, [512, 50], [n, n])[0] <= pointer.SEQUENTIAL_WORK_CAP
+    work, held = pointer._sequential_cost(512, [512, 51], [n, n])
+    assert pointer.SEQUENTIAL_WORK_CAP < work < 1.001 * pointer.SEQUENTIAL_WORK_CAP
+    assert held <= pointer.SEQUENTIAL_HELD_CAP
+    pt = make_gaussian(default_grid(1.0, 0.1, n=n), 1.0)
+    couplings = _diagonal_couplings(512, [512, 51], pt)
+    psi = np.ones(512) / np.sqrt(512.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match="work .* exceeds the cap"):
+            sequential_couple(psi, couplings, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the first coupling's spectra alone would take 128 MiB
+
+
+def test_sequential_held_cap_guard_trips_before_building_amplitudes():
+    # 20 two-cluster couplings in dim 63: N = 2^20 is below the index cap and
+    # the work is a quarter of its cap, but the 2^19 system vectors of the
+    # last projecting stage (held twice) put the memory estimate just above
+    # the cap; dim 62 would pass it.
+    sizes = [4096] * 20
+    assert pointer._sequential_cost(62, [2] * 20, sizes)[1] <= pointer.SEQUENTIAL_HELD_CAP
+    work, held = pointer._sequential_cost(63, [2] * 20, sizes)
+    assert pointer.SEQUENTIAL_HELD_CAP < held < 1.01 * pointer.SEQUENTIAL_HELD_CAP
+    assert work <= pointer.SEQUENTIAL_WORK_CAP
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    couplings = _diagonal_couplings(63, [2] * 20, pt)
+    psi = np.ones(63) / np.sqrt(63.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match="held exceeds the cap"):
+            sequential_couple(psi, couplings, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the stage vectors alone would take 1 GiB
+
+
 def test_sequential_at_index_cap_within_budget():
     # K = 11 dense dim-4 couplings: 4^11 = 2^22 branch sequences, the cap.
     # The contraction holds about log2(K) + 2 tensors of N complex numbers
-    # (64 MiB each here); unloaded it takes ~2 s on 2 cores (README budget:
-    # 10 s, 2 GB peak RSS). The time bound leaves room for a loaded machine.
+    # (64 MiB each here); unloaded it takes ~2-3 s on 2 cores, against the
+    # README budget of 10 s and 2 GB peak RSS.
     rng = np.random.default_rng(909)
     pre, post = _selection_pair(rng, 4)
     pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
@@ -522,7 +576,7 @@ def test_sequential_at_index_cap_within_budget():
     assert 0.0 < prob <= 1.0
     assert len(marginals) == 11
     assert peak < 512 * 2**20
-    assert elapsed < 30.0
+    assert elapsed < 10.0
 
 
 def test_sequential_probability_above_one_guard(monkeypatch):

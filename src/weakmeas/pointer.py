@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi, prod, sqrt
+from math import ceil, exp, floor, pi, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +105,19 @@ class PointerGrid:
     @cached_property
     def momenta_sorted(self) -> np.ndarray:
         """Momentum lattice in ascending order (fft-shifted)."""
-        p = np.fft.fftshift(self.momenta).copy()
+        p = self._momenta_on(slice(0, self.n))
         p.setflags(write=False)
         return p
+
+    def _momenta_on(self, band: slice) -> np.ndarray:
+        """momenta_sorted[band], built on those bins only.
+
+        Bin i holds p_j = 2 pi j / (n dq) with j = i - n/2, computed as
+        np.fft.fftfreq does, so the values are bit-identical.
+        """
+        half = self.n // 2
+        j = np.arange(band.start - half, band.stop - half)
+        return 2.0 * pi * (j * (1.0 / (self.n * self.spacing)))
 
 
 @dataclass(frozen=True)
@@ -148,42 +158,85 @@ class PointerState:
     rejects states with boundary amplitude above LEAKAGE_TOL in the
     outermost 1% of the grid, where periodic wrap-around would corrupt
     translations.
+
+    The state also holds its spectrum (``spectrum``). A state built from
+    samples takes it with one FFT on first use; the package's own states
+    are built from a band-limited spectrum and, when nothing has computed
+    them, take their samples with one inverse FFT on first use.
     """
 
-    __slots__ = ("grid", "samples")
+    __slots__ = ("grid", "_samples", "_spectrum")
 
-    def __init__(self, grid: PointerGrid, samples, *, _checked: bool = False):
+    def __init__(self, grid: PointerGrid, samples):
         arr = np.asarray(samples, dtype=complex)
         if arr.shape != (grid.n,):
             raise DimensionMismatchError(
                 f"samples shape {arr.shape} does not match grid size {grid.n}"
             )
-        if not _checked:
-            if not np.all(np.isfinite(arr)):
-                raise InputError("pointer samples contain NaN or Inf")
-            total = float(np.sum(np.abs(arr) ** 2) * grid.spacing)
-            if abs(total - 1.0) > NORM_TOL:
-                raise InputError(
-                    f"pointer state is not normalized: |sum - 1| = {abs(total - 1.0):.3e}"
-                )
-            arr = arr / sqrt(total)
-            edge = max(1, grid.n // 200)
-            boundary = max(
-                float(np.max(np.abs(arr[:edge]))), float(np.max(np.abs(arr[-edge:])))
+        if not np.all(np.isfinite(arr)):
+            raise InputError("pointer samples contain NaN or Inf")
+        total = float(np.sum(np.abs(arr) ** 2) * grid.spacing)
+        if abs(total - 1.0) > NORM_TOL:
+            raise InputError(
+                f"pointer state is not normalized: |sum - 1| = {abs(total - 1.0):.3e}"
             )
-            if boundary > LEAKAGE_TOL:
-                raise GridGuardError(
-                    f"boundary amplitude {boundary:.3e} exceeds {LEAKAGE_TOL:.1e}; "
-                    "increase the grid extent"
-                )
-        else:
-            arr = arr.copy()
+        arr = arr / sqrt(total)
+        edge = max(1, grid.n // 200)
+        boundary = max(
+            float(np.max(np.abs(arr[:edge]))), float(np.max(np.abs(arr[-edge:])))
+        )
+        if boundary > LEAKAGE_TOL:
+            raise GridGuardError(
+                f"boundary amplitude {boundary:.3e} exceeds {LEAKAGE_TOL:.1e}; "
+                "increase the grid extent"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "_samples", arr)
+        object.__setattr__(self, "_spectrum", None)
+
+    @classmethod
+    def _held(cls, grid: PointerGrid, samples, band: slice, spectrum) -> PointerState:
+        """A normalized state from fresh arrays the caller hands over.
+
+        Nothing is checked or copied. ``samples`` may be None: they are then
+        built from the spectrum (values on grid.momenta_sorted[band], zero
+        elsewhere) with one inverse FFT on first use.
+        """
+        state = object.__new__(cls)
+        for arr in (samples, spectrum):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(state, "grid", grid)
+        object.__setattr__(state, "_samples", samples)
+        object.__setattr__(state, "_spectrum", (band, spectrum))
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("PointerState is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """psi(q) on grid.points."""
+        if self._samples is None:
+            band, values = self._spectrum
+            samples = _inverse_fft(self.grid, band, values)
+            samples.setflags(write=False)
+            object.__setattr__(self, "_samples", samples)
+        return self._samples
+
+    @property
+    def spectrum(self) -> tuple[slice, np.ndarray]:
+        """(band, values): the DFT of the samples, np.fft.fft order aside.
+
+        ``values`` are its entries on the ascending momentum bins
+        grid.momenta_sorted[band]; every other entry is zero.
+        """
+        if self._spectrum is None:
+            values = np.fft.fftshift(np.fft.fft(self._samples))
+            values.setflags(write=False)
+            object.__setattr__(self, "_spectrum", (slice(0, self.grid.n), values))
+        return self._spectrum
 
     def position_density(self) -> np.ndarray:
         """|psi(q)|^2 on grid.points; integrates to 1 with weight dq."""
@@ -196,20 +249,41 @@ class PointerState:
         so sum |phi|^2 dp equals sum |psi|^2 dq (Parseval).
         """
         grid = self.grid
-        phi = np.fft.fftshift(np.fft.fft(self.samples)) * grid.spacing / sqrt(2.0 * pi)
-        phi *= np.exp(-1j * grid.momenta_sorted * grid.q_min)
+        band, values = self.spectrum
+        phi = np.zeros(grid.n, dtype=complex)
+        phi[band] = values * (grid.spacing / sqrt(2.0 * pi))
+        phi[band] *= np.exp(-1j * grid._momenta_on(band) * grid.q_min)
         return phi
 
     def momentum_density(self) -> np.ndarray:
         """|phi(p)|^2 on grid.momenta_sorted; integrates to 1 with weight dp.
 
         The factor exp(-i p q_min) of momentum_wavefunction has unit
-        modulus, so the density is |fft|^2 dq^2 / (2 pi), shifted.
+        modulus, so the density is |spectrum|^2 dq^2 / (2 pi).
         """
-        grid = self.grid
-        rho = np.abs(np.fft.fft(self.samples)) ** 2
-        rho *= grid.spacing**2 / (2.0 * pi)
-        return np.fft.fftshift(rho)
+        band, values = self.spectrum
+        rho = np.zeros(self.grid.n)
+        rho[band] = _spectral_density(self.grid, values)
+        return rho
+
+
+def _spectral_density(grid: PointerGrid, values: np.ndarray) -> np.ndarray:
+    """|phi(p)|^2 from DFT values: |values|^2 dq^2 / (2 pi)."""
+    rho = np.abs(values) ** 2
+    rho *= grid.spacing**2 / (2.0 * pi)
+    return rho
+
+
+def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarray:
+    """Samples whose DFT is ``values`` on grid.momenta_sorted[band] (last
+    axis) and zero elsewhere: the band zero-filled to the whole lattice in
+    np.fft storage order, inverted in place."""
+    n, half = grid.n, grid.n // 2
+    full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
+    negative = half - band.start  # bins below p = 0
+    full[..., n - negative :] = values[..., :negative]
+    full[..., : band.stop - half] = values[..., negative:]
+    return np.fft.ifft(full, out=full)
 
 
 class MixedPointerState:
@@ -285,6 +359,115 @@ def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> Point
         ) from exc
 
 
+# exp(-x^2) underflows to zero in double precision beyond x = sqrt(745) ~ 27.3
+_UNDERFLOW_X = 27.3
+# |p| delta beyond which a Gaussian's spectrum exp(-(p delta)^2 / 2) is zero
+_BAND_P_DELTA = sqrt(2.0) * _UNDERFLOW_X
+
+
+def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
+    """make_gaussian's guards in closed form; returns the squared norm
+    sum_k |psi(q_k)|^2 dq of its samples before they are normalized.
+
+    Raises what make_gaussian raises, with the same messages, for the
+    same inputs (up to round-off at each threshold).
+    """
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise InputError(f"delta must be positive, got {delta}")
+    if not np.isfinite(center):
+        raise InputError("center must be finite")
+    if center - grid.q_min < 8.0 * delta or grid.q_max - center < 8.0 * delta:
+        raise GridGuardError(
+            f"grid [{grid.q_min}, {grid.q_max}] leaves less than 8*delta of room "
+            f"around center {center} (delta = {delta})"
+        )
+    dq = grid.spacing
+    reach = _UNDERFLOW_X * delta / dq  # samples on each side with nonzero |psi|^2
+    if reach < 8.0:
+        # Coarse grid: the few samples themselves.
+        middle = (center - grid.q_min) / dq
+        k = np.arange(max(0, ceil(middle - reach)), min(grid.n, floor(middle + reach) + 1))
+        q = grid.q_min + dq * k
+        defect = float(np.sum(np.exp(-(((q - center) / delta) ** 2)))) * dq / (delta * sqrt(pi))
+        defect -= 1.0
+    else:
+        # Poisson summation: the sample sum is 1 + 2 sum_m exp(-(pi m delta/dq)^2)
+        # cos(2 pi m (q_min - center)/dq), at most 30 terms above underflow here.
+        ratio = pi * delta / dq
+        m = np.arange(1, ceil(_UNDERFLOW_X / ratio) + 1)
+        offset = (grid.q_min - center) / dq
+        offset -= round(offset)
+        defect = 2.0 * float(np.sum(np.exp(-((ratio * m) ** 2)) * np.cos(2.0 * pi * offset * m)))
+    if abs(defect) > NORM_TOL:
+        raise GridGuardError(
+            f"grid spacing {dq:.6g} undersamples the width-{delta} Gaussian "
+            f"(pointer state is not normalized: |sum - 1| = {abs(defect):.3e}); "
+            "raise the grid size (--grid-n)"
+        )
+    norm_sq = 1.0 + defect
+    # Largest normalized sample in the outer bands: the one nearest the center.
+    edge = max(1, grid.n // 200)
+    nearest = round((center - grid.q_min) / dq)
+    peak = (delta**2 * pi) ** (-0.25) / sqrt(norm_sq)
+    boundary = max(
+        peak * exp(-((grid.q_min + dq * k - center) ** 2) / (2.0 * delta**2))
+        for k in (min(max(nearest, 0), edge - 1), max(min(nearest, grid.n - 1), grid.n - edge))
+    )
+    if boundary > LEAKAGE_TOL:
+        raise GridGuardError(
+            f"boundary amplitude {boundary:.3e} exceeds {LEAKAGE_TOL:.1e}; "
+            "increase the grid extent"
+        )
+    return norm_sq
+
+
+def _gaussian_spectrum(
+    grid: PointerGrid, delta: float, center: float = 0.0, within: slice | None = None
+) -> tuple[slice, np.ndarray]:
+    """Spectrum of make_gaussian(grid, delta, center), in closed form.
+
+    Applies make_gaussian's guards (_gaussian_norm) and returns (band,
+    values) as PointerState.spectrum does: the DFT of its normalized
+    samples on the bins of grid.momenta_sorted where it is nonzero in double
+    precision, |p| delta <= 38.6, intersected with ``within``. By Poisson
+    summation the DFT is (sqrt(2 pi)/dq) (delta^2/pi)^(1/4) sum_m
+    exp(-P_m^2 delta^2 / 2) exp(i P_m (q_min - center)) with P_m = p +
+    2 pi m/dq. Alias m is at least (2|m| - 1) pi delta/dq from p = 0 on
+    every bin, so the sum runs over the m that bring it within 8.9 (e^-39.6
+    of the peak): m = -1, 0, 1 once pi delta/dq > 3, which the
+    undersampling guard ensures unless q_min - center sits, to ~1e-5 of dq,
+    where the norm defect's first term vanishes.
+    """
+    norm_sq = _gaussian_norm(grid, delta, center)
+    n, half, dq = grid.n, grid.n // 2, grid.spacing
+    reach = floor(_BAND_P_DELTA / (delta * grid.momentum_spacing))
+    lo, hi = max(0, half - reach), min(n, half + reach + 1)
+    if within is not None:
+        lo, hi = max(lo, within.start), min(hi, within.stop)
+    band = slice(lo, hi)
+    # The phases P_m (q_min - center) in cycles, (j + m n) w with j the signed
+    # bin index, reduced mod 1 with n w (exact, n a power of two) apart so
+    # that a symmetric grid's (-1)^j comes out exact.
+    w = (grid.q_min - center) / grid.extent
+    cycles = (np.arange(lo, hi) - half) * w
+    cycles -= np.round(cycles)
+    alias_cycles = n * w - round(n * w)
+    momenta = grid._momenta_on(band)
+    aliases = max(1, floor((8.9 * dq / (pi * delta) + 1.0) / 2.0))
+    values = np.zeros(hi - lo, dtype=complex)
+    for m in range(-aliases, aliases + 1):
+        x = (momenta + m * (2.0 * pi / dq)) * delta
+        values += np.exp(-0.5 * x**2 + 2j * pi * (cycles + m * alias_cycles))
+    values *= sqrt(2.0 * pi) / dq * (delta**2 / pi) ** 0.25 / sqrt(norm_sq)
+    return band, values
+
+
+def _gaussian_pointer(grid: PointerGrid, delta: float) -> PointerState:
+    """make_gaussian(grid, delta) held as its closed-form spectrum; its
+    samples are built by one inverse FFT only if something reads them."""
+    return PointerState._held(grid, None, *_gaussian_spectrum(grid, delta))
+
+
 class Moments(NamedTuple):
     """Mean and variance of a pointer's position and momentum densities."""
 
@@ -311,19 +494,24 @@ def _position_moments(state) -> tuple[float, float, float]:
 def moments(state) -> Moments:
     """Position and momentum moments of a PointerState or MixedPointerState.
 
-    One pass over the position density and one momentum_density() call.
-    Raises NumericalGuardError when the two densities' totals differ by more
-    than NORM_TOL (Parseval).
+    One pass over the position density and one over the momentum density:
+    for a PointerState, over its spectrum's band only. Raises
+    NumericalGuardError when the two densities' totals differ by more than
+    NORM_TOL (Parseval).
     """
     grid = state.grid
     total_q, mu_q, var_q_ = _position_moments(state)
-    rho_p = state.momentum_density()
+    if isinstance(state, PointerState):
+        band, values = state.spectrum
+        momenta, rho_p = grid._momenta_on(band), _spectral_density(grid, values)
+    else:
+        momenta, rho_p = grid.momenta_sorted, state.momentum_density()
     total_p = float(rho_p.sum() * grid.momentum_spacing)
     if abs(total_p - total_q) > NORM_TOL * max(1.0, total_q):
         raise NumericalGuardError(
             f"Parseval defect {abs(total_p - total_q):.3e} exceeds {NORM_TOL:.1e}"
         )
-    _, mu_p, var_p_ = _density_moments(grid.momenta_sorted, rho_p, grid.momentum_spacing)
+    _, mu_p, var_p_ = _density_moments(momenta, rho_p, grid.momentum_spacing)
     return Moments(mu_q, var_q_, mu_p, var_p_)
 
 
@@ -352,10 +540,16 @@ def gaussian_fidelity(state: PointerState, reference_shift: float, delta: float)
 
     Read near 1 it certifies that a post-selected pointer is an undistorted
     Gaussian translated to the reference position; interference between the
-    eigenvalue branches is what builds that single shifted packet.
+    eigenvalue branches is what builds that single shifted packet. The
+    reference is make_gaussian(state.grid, delta, reference_shift), with its
+    guards, taken as its closed-form spectrum; the overlap is summed over
+    the bins where both spectra are nonzero (Parseval).
     """
-    reference = make_gaussian(state.grid, delta, reference_shift)
-    overlap = complex(np.vdot(reference.samples, state.samples) * state.grid.spacing)
+    grid = state.grid
+    band, values = state.spectrum
+    common, reference = _gaussian_spectrum(grid, delta, reference_shift, within=band)
+    ours = values[common.start - band.start : common.stop - band.start]
+    overlap = complex(np.vdot(reference, ours)) * grid.spacing / grid.n
     return float(min(abs(overlap) ** 2, 1.0))
 
 
@@ -381,7 +575,8 @@ class Branch:
 class JointState:
     """System-pointer state after one impulse coupling.
 
-    Stored as the FFT of the initial pointer (``spectrum``) and, per
+    Stored as the initial pointer's spectrum (``spectrum``, its values on
+    the bins grid.momenta_sorted[band], as PointerState.spectrum) and, per
     distinct eigenvalue cluster, the pair (eigenvalue, projection of the
     system state onto the eigenspace). Clusters with different eigenvalues
     are orthogonal in the system factor.
@@ -390,6 +585,7 @@ class JointState:
     grid: PointerGrid
     basis: linalg.EigenDecomposition
     g: float
+    band: slice
     spectrum: np.ndarray
     clusters: tuple[tuple[float, np.ndarray], ...]
 
@@ -404,20 +600,18 @@ class JointState:
         Built on first access, one inverse FFT per cluster; post_select
         works from the spectrum and never needs them.
         """
-        return tuple(
-            Branch(
+        branches = []
+        for value, system_vec in self.clusters:
+            spectrum = self.spectrum * _translation_kernel(
+                self.grid, self.g, [value], [1.0], self.band
+            )
+            samples = _inverse_fft(self.grid, self.band, spectrum)
+            branches.append(Branch(
                 eigenvalue=value,
                 system_vec=system_vec,
-                pointer=PointerState(
-                    self.grid,
-                    np.fft.ifft(
-                        self.spectrum * _translation_kernel(self.grid, self.g, [value], [1.0])
-                    ),
-                    _checked=True,
-                ),
-            )
-            for value, system_vec in self.clusters
-        )
+                pointer=PointerState._held(self.grid, samples, self.band, spectrum),
+            ))
+        return tuple(branches)
 
     def norm(self) -> float:
         grid = self.grid
@@ -435,15 +629,17 @@ class JointState:
         return rho
 
 
-def _translation_kernel(grid: PointerGrid, g: float, values, amplitudes) -> np.ndarray:
-    """sum_k amplitudes[k] * exp(-i g values[k] p) on grid.momenta (FFT order).
+def _translation_kernel(
+    grid: PointerGrid, g: float, values, amplitudes, band: slice
+) -> np.ndarray:
+    """sum_k amplitudes[k] * exp(-i g values[k] p) on grid.momenta_sorted[band].
 
     Multiplying a spectrum by it and inverting the FFT superposes the
     packets translated by g*values[k]. Each term is a cos(|s| p) -
     i a sign(s) sin(|s| p) with s = g*values[k], so shifts +s and -s share
     one real cos and one real sin, which together cost less than a complex
-    exp. The lattice holds p_(n-j) = -p_j for 0 < j < n/2, so both are
-    evaluated on p_0 .. p_(n/2) only and mirrored (cos even, sin odd).
+    exp. A band around p = 0 holds p_j and -p_j alike, so both are
+    evaluated once per |p_j| and mirrored (cos even, sin odd).
     """
     # |s| -> [cos coefficient, sin coefficient]
     coefs: dict[float, list[complex]] = {}
@@ -453,10 +649,13 @@ def _translation_kernel(grid: PointerGrid, g: float, values, amplitudes) -> np.n
             pair = coefs.setdefault(abs(shift), [0j, 0j])
             pair[0] += amplitude
             pair[1] += -1j * amplitude if shift > 0.0 else 1j * amplitude
+    # Sorted bin half + j holds p_j = j dp; the band spans j = -below .. above - 1.
     half = grid.n // 2
-    momenta = grid.momenta[: half + 1]
-    even = np.zeros(half + 1, dtype=complex)
-    odd = np.zeros(half + 1, dtype=complex)
+    below, above = half - band.start, band.stop - half
+    size = max(above, below + 1)
+    momenta = grid._momenta_on(slice(half, half + size))  # p_j, j = 0 .. size - 1
+    even = np.zeros(size, dtype=complex)
+    odd = np.zeros(size, dtype=complex)
     for shift, (cos_coef, sin_coef) in coefs.items():
         if shift == 0.0:
             even += cos_coef
@@ -464,9 +663,9 @@ def _translation_kernel(grid: PointerGrid, g: float, values, amplitudes) -> np.n
         angle = momenta * shift
         even += cos_coef * np.cos(angle)
         odd += sin_coef * np.sin(angle)
-    kernel = np.empty(grid.n, dtype=complex)
-    np.add(even, odd, out=kernel[: half + 1])
-    np.subtract(even[half - 1 : 0 : -1], odd[half - 1 : 0 : -1], out=kernel[half + 1 :])
+    kernel = np.empty(below + above, dtype=complex)
+    np.add(even[:above], odd[:above], out=kernel[below:])
+    np.subtract(even[below:0:-1], odd[below:0:-1], out=kernel[:below])
     return kernel
 
 
@@ -527,8 +726,7 @@ def _couple(
             f"{grid.extent:.6g}; enlarge the grid or reduce g"
         )
 
-    spectrum = np.fft.fft(pointer.samples)
-    spectrum.setflags(write=False)
+    band, spectrum = pointer.spectrum
     clusters = []
     for value, idx in eig.clusters():
         vecs = eig.eigenvectors[:, idx]
@@ -542,7 +740,8 @@ def _couple(
     if defect > NORM_TOL:
         raise NumericalGuardError(f"coupling broke unitarity: norm defect {defect:.3e}")
     return JointState(
-        grid=grid, basis=eig, g=float(g), spectrum=spectrum, clusters=tuple(clusters)
+        grid=grid, basis=eig, g=float(g), band=band, spectrum=spectrum,
+        clusters=tuple(clusters),
     )
 
 
@@ -550,22 +749,23 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     """Project the system factor onto phi and renormalize the pointer.
 
     The conditional pointer is sum_k <phi|P_k|psi> times the pointer
-    translated by g*o_k; it is built as one inverse FFT of the initial
-    spectrum times the summed translation phases.
+    translated by g*o_k. Its spectrum is the initial spectrum times the
+    summed translation phases, formed on the initial spectrum's band only;
+    the state holds it, and its samples are one inverse FFT of it.
 
     Returns the conditional pointer state and the post-selection
     probability (the squared norm of the unnormalized conditional
-    wavefunction). Raises PostSelectionImpossibleError when the probability
-    underflows below PROBABILITY_FLOOR.
+    wavefunction, read from the spectrum by Parseval). Raises
+    PostSelectionImpossibleError when the probability underflows below
+    PROBABILITY_FLOOR.
     """
     phi = _require_system_state(phi, joint.system_dim)
-    grid = joint.grid
+    grid, band = joint.grid, joint.band
     values = [value for value, _ in joint.clusters]
     amplitudes = [complex(np.vdot(phi, vec)) for _, vec in joint.clusters]
-    kernel = _translation_kernel(grid, joint.g, values, amplitudes)
-    kernel *= joint.spectrum
-    conditional = np.fft.ifft(kernel)
-    probability = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
+    spectrum = _translation_kernel(grid, joint.g, values, amplitudes, band)
+    spectrum *= joint.spectrum
+    probability = float(np.vdot(spectrum, spectrum).real) * grid.spacing / grid.n
     if probability < PROBABILITY_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection probability {probability:.3e} underflows; "
@@ -574,16 +774,19 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     if probability > 1.0 + NORM_TOL:
         raise NumericalGuardError(f"post-selection probability {probability} exceeds 1")
     probability = min(probability, 1.0)
-    conditional /= sqrt(probability)
-    state = PointerState(grid, conditional, _checked=True)
-    return state, probability
+    spectrum /= sqrt(probability)
+    samples = _inverse_fft(grid, band, spectrum)
+    return PointerState._held(grid, samples, band, spectrum), probability
 
 
-def _translated_spectra(pointer: PointerState, g: float, values: np.ndarray) -> np.ndarray:
-    """FFTs of the pointer translated by g*value, one row per value (FFT order)."""
-    base_fft = np.fft.fft(pointer.samples)
-    return np.stack([base_fft * _translation_kernel(pointer.grid, g, [value], [1.0])
-                     for value in values])
+def _translated_spectra(
+    pointer: PointerState, g: float, values: np.ndarray
+) -> tuple[slice, np.ndarray]:
+    """Spectra of the pointer translated by g*value, one row per value, on
+    the band of the pointer's held spectrum."""
+    band, base = pointer.spectrum
+    return band, np.stack([base * _translation_kernel(pointer.grid, g, [value], [1.0], band)
+                           for value in values])
 
 
 def _mode_product(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
@@ -788,7 +991,7 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     overlaps = [
         # S[j, i] = <psi_j | psi_i>, summed over the spectra (Parseval)
         spectrum.conj() @ spectrum.T * (ptr.grid.spacing / ptr.grid.n)
-        for spectrum, ptr in zip(spectra, pointers)
+        for (_, spectrum), ptr in zip(spectra, pointers)
     ]
 
     weights = _marginal_weights(amplitudes, overlaps)
@@ -803,11 +1006,12 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     probability = min(probability, 1.0)
 
     marginals = []
-    for w, spectrum, ptr in zip(weights, spectra, pointers):
+    for w, (band, spectrum), ptr in zip(weights, spectra, pointers):
         grid_k = ptr.grid
-        rho_q = _mixed_density(w, np.fft.ifft(spectrum, axis=1)) / probability
-        rho_p = _mixed_density(w, np.fft.fftshift(spectrum, axes=1))
-        rho_p *= grid_k.spacing**2 / (2.0 * pi) / probability
+        packets = _inverse_fft(grid_k, band, spectrum)
+        rho_q = _mixed_density(w, packets) / probability
+        rho_p = np.zeros(grid_k.n)
+        rho_p[band] = _mixed_density(w, spectrum) * (grid_k.spacing**2 / (2.0 * pi) / probability)
         marginals.append(MixedPointerState(grid_k, rho_q, rho_p))
     return marginals, probability
 

@@ -15,11 +15,11 @@ from weakmeas import (
     serialize_scenario,
     three_box,
 )
-from weakmeas import linalg, pointer, textout
+from weakmeas import linalg, pointer, resolve, textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import SweepSpecError
 
-from oracles import random_hermitian, random_state
+from oracles import eigen_clusters, gaussian_fidelity, random_hermitian, random_state
 
 
 def run_cli(capsys, *argv):
@@ -432,37 +432,58 @@ def test_simulate_zero_coupling(capsys):
     assert float(values["probability"]) == pytest.approx(1.0 / 9.0, rel=1e-10)
 
 
-def _counting_fft(monkeypatch, corrupt_after=None):
-    """Count numpy's fft/ifft calls; optionally scale every fft after the
-    first ``corrupt_after`` by 1 + 1e-6."""
+def _counting_fft(monkeypatch, corrupt_ifft=False):
+    """Count numpy's fft/ifft calls; optionally scale every ifft output by
+    1 + 1e-6."""
     calls = {"fft": 0, "ifft": 0}
     fft, ifft = np.fft.fft, np.fft.ifft
 
     def counted_fft(a, *args, **kwargs):
         calls["fft"] += 1
-        out = fft(a, *args, **kwargs)
-        if corrupt_after is not None and calls["fft"] > corrupt_after:
-            out *= 1.0 + 1e-6
-        return out
+        return fft(a, *args, **kwargs)
 
     def counted_ifft(a, *args, **kwargs):
         calls["ifft"] += 1
-        return ifft(a, *args, **kwargs)
+        out = ifft(a, *args, **kwargs)
+        if corrupt_ifft:
+            out *= 1.0 + 1e-6
+        return out
 
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     monkeypatch.setattr(np.fft, "ifft", counted_ifft)
     return calls
 
 
-def test_simulate_makes_three_ffts(tmp_path, capsys, monkeypatch):
-    # fft of the initial pointer, one ifft after post-selection, one fft
-    # for the momentum moments - whatever the number of eigenvalue clusters
+def test_simulate_makes_one_inverse_fft(tmp_path, capsys, monkeypatch):
+    # The initial pointer is its closed-form spectrum, post-selection makes
+    # the one ifft, and the moments and the fidelity read the held spectrum,
+    # whatever the number of eigenvalue clusters.
     path = dense_scenario_file(tmp_path)  # 4 clusters
     for scenario in ("three-box/C", path):
         calls = _counting_fft(monkeypatch)
         code, _, _ = run_cli(capsys, "simulate", "--scenario", scenario)
         assert code == 0
-        assert calls == {"fft": 2, "ifft": 1}
+        assert calls == {"fft": 0, "ifft": 1}
+
+
+def test_simulate_fidelity_matches_closed_form(capsys):
+    # ensemble/8x5 cancels to a probability of 8e-12; the oracle sums in
+    # decimals, so it holds there too.
+    for ref, grid_n in (("spin-amp/100", 2**19), ("spin-amp/1j", 2**19),
+                        ("three-box/C", 2**19), ("ensemble/8x5", None)):
+        argv = ["simulate", "--scenario", ref]
+        if grid_n:
+            argv += ["--grid-n", str(grid_n)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        scenario = resolve(ref, grid_n=grid_n)
+        g, delta = scenario.coupling.g, scenario.coupling.delta
+        amplitudes, shifts = [], []
+        for value, block in eigen_clusters(scenario.operator):
+            amplitudes.append(np.vdot(scenario.post, block @ (block.conj().T @ scenario.pre)))
+            shifts.append(g * value)
+        want = gaussian_fidelity(amplitudes, shifts, g * scenario.weak_value.real, delta)
+        assert abs(float(parse_keyvalues(out)["gaussian_fidelity"]) - want) <= 1e-10
 
 
 def test_exit_code_unitarity_guard(capsys, monkeypatch):
@@ -481,14 +502,15 @@ def test_exit_code_unitarity_guard(capsys, monkeypatch):
 
 
 def test_exit_code_parseval_guard(capsys, monkeypatch):
-    _counting_fft(monkeypatch, corrupt_after=1)  # the momentum-moments fft
+    # the post-selected samples no longer match their spectrum's total
+    _counting_fft(monkeypatch, corrupt_ifft=True)
     code, _, err = run_cli(capsys, "simulate", "--scenario", "three-box/C")
     assert code == 4
     assert "Parseval" in err
 
 
 def test_simulate_at_grid_cap(capsys):
-    # n = 2^20 took 0.5 s and a 80 MB tracemalloc peak on a 2-core Xeon
+    # n = 2^20 took 0.13 s and a 40 MB tracemalloc peak on a 2-core Xeon
     cap = pointer.GRID_MAX_N
     tracemalloc.start()
     try:

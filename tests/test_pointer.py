@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import time
 import tracemalloc
 
@@ -33,6 +34,7 @@ from weakmeas.pointer import (
 
 from oracles import (
     conditional_oracle,
+    gaussian_fidelity as fidelity_oracle,
     gaussian_momentum_density,
     random_hermitian,
     random_state,
@@ -143,6 +145,114 @@ def test_gaussian_fidelity_values():
     assert gaussian_fidelity(state, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     # |<psi_s|psi_0>|^2 = exp(-s^2 / (2 delta^2))
     assert gaussian_fidelity(state, 0.0, 1.0) == pytest.approx(np.exp(-0.5), rel=1e-10)
+
+
+def test_gaussian_spectrum_matches_fft_of_samples():
+    # The closed form, aliases m = -1, 0, 1 included, against the FFT of
+    # make_gaussian's samples: a symmetric grid, an offset grid whose q_min
+    # is no multiple of dq, n = 256 down to the undersampling guard (where
+    # the aliases reach 1e-5 of the peak), and the spin-amp/100 grid at 2^19.
+    cases = [
+        (PointerGrid(n=4096, q_min=-12.0, q_max=12.0), 1.0, 0.0),
+        (PointerGrid(n=4096, q_min=-9.3, q_max=11.17), 1.0, 0.0),
+        (PointerGrid(n=4096, q_min=-9.3, q_max=11.17), 0.7, 1.3),
+    ]
+    for delta in (0.2, 0.15, 0.12, 0.112):
+        cases.append((PointerGrid(n=256, q_min=-10.0, q_max=10.0), delta, 0.0))
+        cases.append((PointerGrid(n=256, q_min=-9.3, q_max=11.17), delta, 0.0))
+    # q_min/dq = 1/4 mod 1 cancels the norm defect's first term, so the guard
+    # accepts pi delta/dq = 2.5, where the aliases m = +-2 reach 7e-13.
+    dq = 20.0 / 256
+    tuned = PointerGrid(n=256, q_min=-127.75 * dq, q_max=128.25 * dq)
+    cases.append((tuned, 2.5 * dq / np.pi, 0.0))
+    spin = pointer.default_grid(1000.0, 1.0, n=2**19, extra_margin=200.0)
+    cases += [(spin, 1000.0, 0.0), (spin, 1000.0, 100.0)]
+    for grid, delta, center in cases:
+        want = np.fft.fftshift(np.fft.fft(make_gaussian(grid, delta, center).samples))
+        band, values = pointer._gaussian_spectrum(grid, delta, center)
+        got = np.zeros(grid.n, dtype=complex)
+        got[band] = values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # Near the guard the band is the whole lattice, and the m = 0 term alone
+    # misses the FFT by far more than round-off.
+    grid, delta = PointerGrid(n=256, q_min=-9.3, q_max=11.17), 0.112
+    band, _ = pointer._gaussian_spectrum(grid, delta)
+    assert (band.start, band.stop) == (0, 256)
+    want = np.fft.fft(make_gaussian(grid, delta).samples)
+    p = grid.momenta
+    unaliased = np.exp(-0.5 * (p * delta) ** 2 + 1j * p * grid.q_min)
+    unaliased *= np.sqrt(2.0 * np.pi) / grid.spacing * (delta**2 / np.pi) ** 0.25
+    assert np.max(np.abs(unaliased - want)) > 1e-6 * np.max(np.abs(want))
+    # On the spin-amp grid the band is ~200 of 2^19 bins.
+    band, _ = pointer._gaussian_spectrum(spin, 1000.0)
+    assert band.stop - band.start == 201
+
+
+def _guard_outcome(fn):
+    try:
+        fn()
+    except (GridGuardError, InputError) as exc:
+        # the printed defect and boundary amplitude may differ in the last digit
+        return type(exc), re.sub(r"\d\.\d{3}e[+-]\d+", "#", str(exc))
+    return None, ""
+
+
+def test_closed_form_guards_reject_exactly_when_make_gaussian_does():
+    grids = [
+        PointerGrid(n=256, q_min=-10.0, q_max=10.0),
+        PointerGrid(n=256, q_min=-9.3, q_max=11.17),
+        PointerGrid(n=1024, q_min=-4.0, q_max=4.0),
+        PointerGrid(n=256, q_min=-8e-17, q_max=8e-17),  # boundary amplitude at tiny delta
+    ]
+    kinds = {"room": "8*delta of room", "undersampled": "undersamples",
+             "boundary": "boundary amplitude"}
+    seen = set()
+    for grid in grids:
+        for delta in np.geomspace(grid.extent * 1e-4, grid.extent / 10, 60):
+            for center in (0.0, grid.q_min + 8.0 * delta, grid.q_max - 7.9 * delta):
+                want = _guard_outcome(lambda: make_gaussian(grid, delta, center))
+                got = _guard_outcome(lambda: pointer._gaussian_norm(grid, delta, center))
+                assert got == want, (grid, delta, center)
+                seen.add(next((k for k, text in kinds.items() if text in want[1]), "accepted"))
+    # the sweep crosses the room, undersampling and boundary thresholds
+    assert seen == {"accepted", "room", "undersampled", "boundary"}
+    grid = grids[0]
+    assert _guard_outcome(lambda: pointer._gaussian_norm(grid, 0.112, 0.0)) == (None, "")
+    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grid, 0.108, 0.0))
+    assert kind is GridGuardError and "undersamples" in message
+    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grids[3], 1e-17, 0.0))
+    assert kind is GridGuardError and "boundary amplitude" in message
+    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grid, 1.5, 0.0))
+    assert kind is GridGuardError and "8*delta of room" in message
+    for bad in (0.0, -1.0, np.nan):
+        assert _guard_outcome(lambda: pointer._gaussian_norm(grid, bad, 0.0))[0] is InputError
+    # delta = 1e-8 on dq = 1/128: the Poisson sum would need ~7e6 terms; the
+    # one sample within reach rejects it in bounded memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridGuardError, match="undersamples"):
+            pointer._gaussian_norm(PointerGrid(n=256, q_min=-1.0, q_max=1.0), 1e-8, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_gaussian_fidelity_of_a_sampled_state_matches_closed_form():
+    # A two-packet superposition built from samples, whose spectrum is the
+    # FFT of the whole lattice: no band.
+    delta = 0.8
+    grid = default_grid(delta, 2.0)
+    amplitudes, shifts = [0.6, -0.35 + 0.5j], [-0.7, 1.1]
+    samples = sum(a * make_gaussian(grid, delta, s).samples for a, s in zip(amplitudes, shifts))
+    samples /= np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing)
+    state = PointerState(grid, samples)
+    assert state.spectrum[0] == slice(0, grid.n)
+    for reference in (-0.7, 0.0, 0.45, 1.1):
+        want = fidelity_oracle(amplitudes, shifts, reference, delta)
+        assert abs(gaussian_fidelity(state, reference, delta) - want) <= 1e-10
+    with pytest.raises(GridGuardError, match="8\\*delta of room"):
+        gaussian_fidelity(state, grid.q_max - delta, delta)
 
 
 # ------------------------------------------------------------- coupling
@@ -457,9 +567,10 @@ def test_sequential_matches_einsum_reference():
             assert np.max(np.abs(got_p - rho_p)) <= 1e-12 * np.max(rho_p)
 
 
-def test_sequential_makes_two_ffts_per_coupling(monkeypatch):
-    # One fft of each pointer and one batched ifft of its translated family;
-    # the momentum densities come from the translated spectra directly.
+def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
+    # The couplings share one pointer, which takes its spectrum with one fft;
+    # each coupling makes one batched ifft of its translated family, and the
+    # momentum densities come from the translated spectra directly.
     calls = {"fft": 0, "ifft": 0}
     fft, ifft = np.fft.fft, np.fft.ifft
 
@@ -476,7 +587,7 @@ def test_sequential_makes_two_ffts_per_coupling(monkeypatch):
     pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
     couplings = [(_random_observable(rng, 4), 0.05, pt) for _ in range(5)]
     sequential_couple(pre, couplings, post)
-    assert calls == {"fft": 5, "ifft": 5}
+    assert calls == {"fft": 1, "ifft": 5}
 
 
 def test_sequential_index_cap_guard_trips_before_building_amplitudes():

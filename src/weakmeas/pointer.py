@@ -160,9 +160,10 @@ class PointerState:
     translations.
 
     The state also holds its spectrum (``spectrum``). A state built from
-    samples takes it with one FFT on first use; the package's own states
-    are built from a band-limited spectrum and, when nothing has computed
-    them, take their samples with one inverse FFT on first use.
+    samples, make_gaussian's included, takes it with one FFT on first use;
+    the states simulate builds hold a band-limited spectrum and, when
+    nothing has computed them, take their samples with one inverse FFT on
+    first use.
     """
 
     __slots__ = ("grid", "_samples", "_spectrum")
@@ -196,12 +197,15 @@ class PointerState:
         object.__setattr__(self, "_spectrum", None)
 
     @classmethod
-    def _held(cls, grid: PointerGrid, samples, band: slice, spectrum) -> PointerState:
+    def _held(
+        cls, grid: PointerGrid, samples, band: slice | None = None, spectrum=None
+    ) -> PointerState:
         """A normalized state from fresh arrays the caller hands over.
 
-        Nothing is checked or copied. ``samples`` may be None: they are then
-        built from the spectrum (values on grid.momenta_sorted[band], zero
-        elsewhere) with one inverse FFT on first use.
+        Nothing is checked or copied. Either may be None and is then built
+        from the other on first use: the samples from the spectrum (values
+        on grid.momenta_sorted[band], zero elsewhere) with one inverse FFT,
+        the spectrum from the samples with one FFT.
         """
         state = object.__new__(cls)
         for arr in (samples, spectrum):
@@ -209,7 +213,7 @@ class PointerState:
                 arr.setflags(write=False)
         object.__setattr__(state, "grid", grid)
         object.__setattr__(state, "_samples", samples)
-        object.__setattr__(state, "_spectrum", (band, spectrum))
+        object.__setattr__(state, "_spectrum", None if spectrum is None else (band, spectrum))
         return state
 
     def __setattr__(self, name, value):
@@ -277,13 +281,13 @@ def _spectral_density(grid: PointerGrid, values: np.ndarray) -> np.ndarray:
 def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarray:
     """Samples whose DFT is ``values`` on grid.momenta_sorted[band] (last
     axis) and zero elsewhere: the band zero-filled to the whole lattice in
-    np.fft storage order, inverted in place."""
+    np.fft storage order, then inverted."""
     n, half = grid.n, grid.n // 2
     full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
     negative = half - band.start  # bins below p = 0
     full[..., n - negative :] = values[..., :negative]
     full[..., : band.stop - half] = values[..., negative:]
-    return np.fft.ifft(full, out=full)
+    return np.fft.ifft(full)
 
 
 class MixedPointerState:
@@ -337,26 +341,15 @@ def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> Point
 
     Requires at least 8*delta of grid on each side of the center so that
     boundary amplitudes are negligible, and a spacing fine enough that the
-    samples are normalized within NORM_TOL; otherwise raises GridGuardError.
+    samples are normalized within NORM_TOL; otherwise raises GridGuardError
+    (see _gaussian_norm). The samples are normalized by their closed-form
+    norm.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise InputError(f"delta must be positive, got {delta}")
-    if not np.isfinite(center):
-        raise InputError("center must be finite")
-    if center - grid.q_min < 8.0 * delta or grid.q_max - center < 8.0 * delta:
-        raise GridGuardError(
-            f"grid [{grid.q_min}, {grid.q_max}] leaves less than 8*delta of room "
-            f"around center {center} (delta = {delta})"
-        )
+    norm_sq = _gaussian_norm(grid, delta, center)
     q = grid.points
-    samples = (delta**2 * pi) ** (-0.25) * np.exp(-((q - center) ** 2) / (2.0 * delta**2))
-    try:
-        return PointerState(grid, samples)
-    except InputError as exc:  # finite samples of the grid's size fail only the norm check
-        raise GridGuardError(
-            f"grid spacing {grid.spacing:.6g} undersamples the width-{delta} Gaussian "
-            f"({exc}); raise the grid size (--grid-n)"
-        ) from exc
+    samples = np.exp(-((q - center) ** 2) / (2.0 * delta**2))
+    samples *= (delta**2 * pi) ** (-0.25) / sqrt(norm_sq)
+    return PointerState._held(grid, samples.astype(complex))
 
 
 # exp(-x^2) underflows to zero in double precision beyond x = sqrt(745) ~ 27.3
@@ -366,11 +359,13 @@ _BAND_P_DELTA = sqrt(2.0) * _UNDERFLOW_X
 
 
 def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
-    """make_gaussian's guards in closed form; returns the squared norm
+    """make_gaussian's guards, in closed form; returns the squared norm
     sum_k |psi(q_k)|^2 dq of its samples before they are normalized.
 
-    Raises what make_gaussian raises, with the same messages, for the
-    same inputs (up to round-off at each threshold).
+    InputError for a bad delta or center; GridGuardError for less than
+    8*delta of room, a norm defect above NORM_TOL (undersampling) or a
+    normalized amplitude above LEAKAGE_TOL in the outer 1% of the grid, as
+    PointerState checks for samples it is given.
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise InputError(f"delta must be positive, got {delta}")
@@ -422,14 +417,14 @@ def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
 
 
 def _gaussian_spectrum(
-    grid: PointerGrid, delta: float, center: float = 0.0, within: slice | None = None
+    grid: PointerGrid, delta: float, center: float = 0.0
 ) -> tuple[slice, np.ndarray]:
     """Spectrum of make_gaussian(grid, delta, center), in closed form.
 
     Applies make_gaussian's guards (_gaussian_norm) and returns (band,
     values) as PointerState.spectrum does: the DFT of its normalized
     samples on the bins of grid.momenta_sorted where it is nonzero in double
-    precision, |p| delta <= 38.6, intersected with ``within``. By Poisson
+    precision, |p| delta <= 38.6. By Poisson
     summation the DFT is (sqrt(2 pi)/dq) (delta^2/pi)^(1/4) sum_m
     exp(-P_m^2 delta^2 / 2) exp(i P_m (q_min - center)) with P_m = p +
     2 pi m/dq. Alias m is at least (2|m| - 1) pi delta/dq from p = 0 on
@@ -442,8 +437,6 @@ def _gaussian_spectrum(
     n, half, dq = grid.n, grid.n // 2, grid.spacing
     reach = floor(_BAND_P_DELTA / (delta * grid.momentum_spacing))
     lo, hi = max(0, half - reach), min(n, half + reach + 1)
-    if within is not None:
-        lo, hi = max(lo, within.start), min(hi, within.stop)
     band = slice(lo, hi)
     # The phases P_m (q_min - center) in cycles, (j + m n) w with j the signed
     # bin index, reduced mod 1 with n w (exact, n a power of two) apart so
@@ -547,9 +540,13 @@ def gaussian_fidelity(state: PointerState, reference_shift: float, delta: float)
     """
     grid = state.grid
     band, values = state.spectrum
-    common, reference = _gaussian_spectrum(grid, delta, reference_shift, within=band)
-    ours = values[common.start - band.start : common.stop - band.start]
-    overlap = complex(np.vdot(reference, ours)) * grid.spacing / grid.n
+    ref_band, reference = _gaussian_spectrum(grid, delta, reference_shift)
+    # Both bands are centred on p = 0; sum over their intersection.
+    lo, hi = max(band.start, ref_band.start), min(band.stop, ref_band.stop)
+    overlap = complex(np.vdot(
+        reference[lo - ref_band.start : hi - ref_band.start],
+        values[lo - band.start : hi - band.start],
+    )) * grid.spacing / grid.n
     return float(min(abs(overlap) ** 2, 1.0))
 
 

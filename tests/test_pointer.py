@@ -188,6 +188,25 @@ def test_gaussian_spectrum_matches_fft_of_samples():
     assert band.stop - band.start == 201
 
 
+def _sampled_gaussian(grid, delta, center):
+    """make_gaussian with its guards read off the samples: the room check,
+    then PointerState's own norm and boundary checks."""
+    if center - grid.q_min < 8.0 * delta or grid.q_max - center < 8.0 * delta:
+        raise GridGuardError(
+            f"grid [{grid.q_min}, {grid.q_max}] leaves less than 8*delta of room "
+            f"around center {center} (delta = {delta})"
+        )
+    q = grid.points
+    samples = (delta**2 * np.pi) ** (-0.25) * np.exp(-((q - center) ** 2) / (2.0 * delta**2))
+    try:
+        return PointerState(grid, samples)
+    except InputError as exc:
+        raise GridGuardError(
+            f"grid spacing {grid.spacing:.6g} undersamples the width-{delta} Gaussian "
+            f"({exc}); raise the grid size (--grid-n)"
+        ) from exc
+
+
 def _guard_outcome(fn):
     try:
         fn()
@@ -197,7 +216,7 @@ def _guard_outcome(fn):
     return None, ""
 
 
-def test_closed_form_guards_reject_exactly_when_make_gaussian_does():
+def test_closed_form_guards_reject_exactly_when_the_samples_do():
     grids = [
         PointerGrid(n=256, q_min=-10.0, q_max=10.0),
         PointerGrid(n=256, q_min=-9.3, q_max=11.17),
@@ -210,28 +229,28 @@ def test_closed_form_guards_reject_exactly_when_make_gaussian_does():
     for grid in grids:
         for delta in np.geomspace(grid.extent * 1e-4, grid.extent / 10, 60):
             for center in (0.0, grid.q_min + 8.0 * delta, grid.q_max - 7.9 * delta):
-                want = _guard_outcome(lambda: make_gaussian(grid, delta, center))
-                got = _guard_outcome(lambda: pointer._gaussian_norm(grid, delta, center))
+                want = _guard_outcome(lambda: _sampled_gaussian(grid, delta, center))
+                got = _guard_outcome(lambda: make_gaussian(grid, delta, center))
                 assert got == want, (grid, delta, center)
                 seen.add(next((k for k, text in kinds.items() if text in want[1]), "accepted"))
     # the sweep crosses the room, undersampling and boundary thresholds
     assert seen == {"accepted", "room", "undersampled", "boundary"}
     grid = grids[0]
-    assert _guard_outcome(lambda: pointer._gaussian_norm(grid, 0.112, 0.0)) == (None, "")
-    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grid, 0.108, 0.0))
+    assert _guard_outcome(lambda: make_gaussian(grid, 0.112, 0.0)) == (None, "")
+    kind, message = _guard_outcome(lambda: make_gaussian(grid, 0.108, 0.0))
     assert kind is GridGuardError and "undersamples" in message
-    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grids[3], 1e-17, 0.0))
+    kind, message = _guard_outcome(lambda: make_gaussian(grids[3], 1e-17, 0.0))
     assert kind is GridGuardError and "boundary amplitude" in message
-    kind, message = _guard_outcome(lambda: pointer._gaussian_norm(grid, 1.5, 0.0))
+    kind, message = _guard_outcome(lambda: make_gaussian(grid, 1.5, 0.0))
     assert kind is GridGuardError and "8*delta of room" in message
     for bad in (0.0, -1.0, np.nan):
-        assert _guard_outcome(lambda: pointer._gaussian_norm(grid, bad, 0.0))[0] is InputError
+        assert _guard_outcome(lambda: make_gaussian(grid, bad, 0.0))[0] is InputError
     # delta = 1e-8 on dq = 1/128: the Poisson sum would need ~7e6 terms; the
     # one sample within reach rejects it in bounded memory.
     tracemalloc.start()
     try:
         with pytest.raises(GridGuardError, match="undersamples"):
-            pointer._gaussian_norm(PointerGrid(n=256, q_min=-1.0, q_max=1.0), 1e-8, 0.0)
+            make_gaussian(PointerGrid(n=256, q_min=-1.0, q_max=1.0), 1e-8, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, floor, pi, prod, sqrt
+from math import cos, exp, floor, log, pi, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,8 @@ DEFAULT_GRID_N = 2**12
 NORM_TOL = 1e-8
 LEAKAGE_TOL = 1e-6
 PROBABILITY_FLOOR = 1e-300
+# Relative round-off allowed in sequential_couple's weak-regime guard.
+WEAK_GUARD_RTOL = 1e-12
 # 4^11: K = 11 dense dim-4 couplings finish in ~2 s under 0.5 GB (README).
 SEQUENTIAL_INDEX_CAP = 2**22
 # Caps on _sequential_cost, set from the same 10 s / 2 GB budget (README).
@@ -151,19 +153,16 @@ def default_grid(
 
 
 class PointerState:
-    """A pure pointer wavefunction sampled on a PointerGrid.
+    """A pure pointer wavefunction on a PointerGrid, held as its spectrum.
 
-    Construction asserts the samples are normalized within NORM_TOL (silent
-    renormalization would hide unitarity bugs), renormalizes exactly, and
-    rejects states with boundary amplitude above LEAKAGE_TOL in the
-    outermost 1% of the grid, where periodic wrap-around would corrupt
-    translations.
+    Built from samples, construction asserts they are normalized within
+    NORM_TOL (silent renormalization would hide unitarity bugs),
+    renormalizes exactly, rejects states with boundary amplitude above
+    LEAKAGE_TOL in the outermost 1% of the grid, where periodic wrap-around
+    would corrupt translations, and takes the spectrum with one FFT.
 
-    The state also holds its spectrum (``spectrum``). A state built from
-    samples, make_gaussian's included, takes it with one FFT on first use;
-    the states simulate builds hold a band-limited spectrum and, when
-    nothing has computed them, take their samples with one inverse FFT on
-    first use.
+    make_gaussian and post_select hold a band-limited spectrum instead, and
+    such a state takes its samples with one inverse FFT on first use.
     """
 
     __slots__ = ("grid", "_samples", "_spectrum")
@@ -191,30 +190,27 @@ class PointerState:
                 f"boundary amplitude {boundary:.3e} exceeds {LEAKAGE_TOL:.1e}; "
                 "increase the grid extent"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_samples", arr)
-        object.__setattr__(self, "_spectrum", None)
+        self._store(grid, slice(0, grid.n), np.fft.fftshift(np.fft.fft(arr)), arr)
 
     @classmethod
     def _held(
-        cls, grid: PointerGrid, samples, band: slice | None = None, spectrum=None
+        cls, grid: PointerGrid, band: slice, spectrum: np.ndarray, samples=None
     ) -> PointerState:
-        """A normalized state from fresh arrays the caller hands over.
-
-        Nothing is checked or copied. Either may be None and is then built
-        from the other on first use: the samples from the spectrum (values
-        on grid.momenta_sorted[band], zero elsewhere) with one inverse FFT,
-        the spectrum from the samples with one FFT.
+        """A normalized state from fresh arrays the caller hands over: its
+        spectrum (values on grid.momenta_sorted[band], zero elsewhere) and,
+        when already computed, its samples. Nothing is checked or copied.
         """
         state = object.__new__(cls)
-        for arr in (samples, spectrum):
+        state._store(grid, band, spectrum, samples)
+        return state
+
+    def _store(self, grid: PointerGrid, band: slice, spectrum: np.ndarray, samples) -> None:
+        for arr in (spectrum, samples):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(state, "grid", grid)
-        object.__setattr__(state, "_samples", samples)
-        object.__setattr__(state, "_spectrum", None if spectrum is None else (band, spectrum))
-        return state
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_samples", samples)
+        object.__setattr__(self, "_spectrum", (band, spectrum))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointerState is immutable")
@@ -223,8 +219,7 @@ class PointerState:
     def samples(self) -> np.ndarray:
         """psi(q) on grid.points."""
         if self._samples is None:
-            band, values = self._spectrum
-            samples = _inverse_fft(self.grid, band, values)
+            samples = _inverse_fft(self.grid, *self._spectrum)
             samples.setflags(write=False)
             object.__setattr__(self, "_samples", samples)
         return self._samples
@@ -236,10 +231,6 @@ class PointerState:
         ``values`` are its entries on the ascending momentum bins
         grid.momenta_sorted[band]; every other entry is zero.
         """
-        if self._spectrum is None:
-            values = np.fft.fftshift(np.fft.fft(self._samples))
-            values.setflags(write=False)
-            object.__setattr__(self, "_spectrum", (slice(0, self.grid.n), values))
         return self._spectrum
 
     def position_density(self) -> np.ndarray:
@@ -339,23 +330,26 @@ class MixedPointerState:
 def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> PointerState:
     """Width-delta Gaussian pointer state centered at ``center``.
 
+    Its samples are those of (delta^2 pi)^(-1/4) exp(-(q - center)^2 /
+    (2 delta^2)) on grid.points, normalized. The state holds their spectrum
+    in closed form (_gaussian_spectrum) and takes the samples with one
+    inverse FFT on first use.
+
     Requires at least 8*delta of grid on each side of the center so that
-    boundary amplitudes are negligible, and a spacing fine enough that the
-    samples are normalized within NORM_TOL; otherwise raises GridGuardError
-    (see _gaussian_norm). The samples are normalized by their closed-form
-    norm.
+    boundary amplitudes are negligible, and pi delta/dq >= 4.3719 so that
+    the samples are normalized within NORM_TOL; otherwise raises
+    GridGuardError (see _gaussian_norm).
     """
-    norm_sq = _gaussian_norm(grid, delta, center)
-    q = grid.points
-    samples = np.exp(-((q - center) ** 2) / (2.0 * delta**2))
-    samples *= (delta**2 * pi) ** (-0.25) / sqrt(norm_sq)
-    return PointerState._held(grid, samples.astype(complex))
+    return PointerState._held(grid, *_gaussian_spectrum(grid, delta, center))
 
 
 # exp(-x^2) underflows to zero in double precision beyond x = sqrt(745) ~ 27.3
 _UNDERFLOW_X = 27.3
 # |p| delta beyond which a Gaussian's spectrum exp(-(p delta)^2 / 2) is zero
 _BAND_P_DELTA = sqrt(2.0) * _UNDERFLOW_X
+# Smallest pi delta/dq whose norm defect bound 2 exp(-(pi delta/dq)^2) is
+# within NORM_TOL: 4.3719.
+_MIN_PI_DELTA_DQ = sqrt(log(2.0 / NORM_TOL))
 
 
 def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
@@ -363,9 +357,17 @@ def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
     sum_k |psi(q_k)|^2 dq of its samples before they are normalized.
 
     InputError for a bad delta or center; GridGuardError for less than
-    8*delta of room, a norm defect above NORM_TOL (undersampling) or a
-    normalized amplitude above LEAKAGE_TOL in the outer 1% of the grid, as
+    8*delta of room, pi delta/dq below _MIN_PI_DELTA_DQ (undersampling) or
+    a normalized amplitude above LEAKAGE_TOL in the outer 1% of the grid, as
     PointerState checks for samples it is given.
+
+    By Poisson summation the squared norm is 1 + 2 sum_(m >= 1)
+    exp(-(pi m delta/dq)^2) cos(2 pi m (q_min - center)/dq). The
+    undersampling bound keeps its defect within NORM_TOL at any grid
+    offset, and trips exactly where the samples' own check does when
+    (q_min - center)/dq is an integer (a symmetric grid and a lattice-point
+    centre). Above it the terms m >= 2 are below 1e-33 and only m = 1 is
+    kept.
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise InputError(f"delta must be positive, got {delta}")
@@ -377,29 +379,15 @@ def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
             f"around center {center} (delta = {delta})"
         )
     dq = grid.spacing
-    reach = _UNDERFLOW_X * delta / dq  # samples on each side with nonzero |psi|^2
-    if reach < 8.0:
-        # Coarse grid: the few samples themselves.
-        middle = (center - grid.q_min) / dq
-        k = np.arange(max(0, ceil(middle - reach)), min(grid.n, floor(middle + reach) + 1))
-        q = grid.q_min + dq * k
-        defect = float(np.sum(np.exp(-(((q - center) / delta) ** 2)))) * dq / (delta * sqrt(pi))
-        defect -= 1.0
-    else:
-        # Poisson summation: the sample sum is 1 + 2 sum_m exp(-(pi m delta/dq)^2)
-        # cos(2 pi m (q_min - center)/dq), at most 30 terms above underflow here.
-        ratio = pi * delta / dq
-        m = np.arange(1, ceil(_UNDERFLOW_X / ratio) + 1)
-        offset = (grid.q_min - center) / dq
-        offset -= round(offset)
-        defect = 2.0 * float(np.sum(np.exp(-((ratio * m) ** 2)) * np.cos(2.0 * pi * offset * m)))
-    if abs(defect) > NORM_TOL:
+    ratio = pi * delta / dq
+    if ratio < _MIN_PI_DELTA_DQ:
         raise GridGuardError(
             f"grid spacing {dq:.6g} undersamples the width-{delta} Gaussian "
-            f"(pointer state is not normalized: |sum - 1| = {abs(defect):.3e}); "
-            "raise the grid size (--grid-n)"
+            f"(pi*delta/dq = {ratio:.4g} < {_MIN_PI_DELTA_DQ:.4f}, so its sampled norm "
+            f"can miss 1 by {2.0 * exp(-(ratio**2)):.3e}); raise the grid size (--grid-n)"
         )
-    norm_sq = 1.0 + defect
+    offset = (grid.q_min - center) / dq
+    norm_sq = 1.0 + 2.0 * exp(-(ratio**2)) * cos(2.0 * pi * (offset - round(offset)))
     # Largest normalized sample in the outer bands: the one nearest the center.
     edge = max(1, grid.n // 200)
     nearest = round((center - grid.q_min) / dq)
@@ -419,19 +407,17 @@ def _gaussian_norm(grid: PointerGrid, delta: float, center: float) -> float:
 def _gaussian_spectrum(
     grid: PointerGrid, delta: float, center: float = 0.0
 ) -> tuple[slice, np.ndarray]:
-    """Spectrum of make_gaussian(grid, delta, center), in closed form.
+    """make_gaussian(grid, delta, center)'s spectrum, in closed form.
 
     Applies make_gaussian's guards (_gaussian_norm) and returns (band,
-    values) as PointerState.spectrum does: the DFT of its normalized
-    samples on the bins of grid.momenta_sorted where it is nonzero in double
-    precision, |p| delta <= 38.6. By Poisson
-    summation the DFT is (sqrt(2 pi)/dq) (delta^2/pi)^(1/4) sum_m
-    exp(-P_m^2 delta^2 / 2) exp(i P_m (q_min - center)) with P_m = p +
-    2 pi m/dq. Alias m is at least (2|m| - 1) pi delta/dq from p = 0 on
-    every bin, so the sum runs over the m that bring it within 8.9 (e^-39.6
-    of the peak): m = -1, 0, 1 once pi delta/dq > 3, which the
-    undersampling guard ensures unless q_min - center sits, to ~1e-5 of dq,
-    where the norm defect's first term vanishes.
+    values) as PointerState.spectrum does: the DFT of the normalized samples
+    on the bins of grid.momenta_sorted where it is nonzero in double
+    precision, |p| delta <= 38.6. By Poisson summation the DFT is
+    (sqrt(2 pi)/dq) (delta^2/pi)^(1/4) sum_m exp(-P_m^2 delta^2 / 2)
+    exp(i P_m (q_min - center)) with P_m = p + 2 pi m/dq. Alias m is at
+    least (2|m| - 1) pi delta/dq from p = 0 on every bin, so under the
+    undersampling guard the aliases m = +-2 stay below 5e-38 of the peak
+    and the sum runs over m = -1, 0, 1.
     """
     norm_sq = _gaussian_norm(grid, delta, center)
     n, half, dq = grid.n, grid.n // 2, grid.spacing
@@ -446,19 +432,12 @@ def _gaussian_spectrum(
     cycles -= np.round(cycles)
     alias_cycles = n * w - round(n * w)
     momenta = grid._momenta_on(band)
-    aliases = max(1, floor((8.9 * dq / (pi * delta) + 1.0) / 2.0))
     values = np.zeros(hi - lo, dtype=complex)
-    for m in range(-aliases, aliases + 1):
+    for m in (-1, 0, 1):
         x = (momenta + m * (2.0 * pi / dq)) * delta
         values += np.exp(-0.5 * x**2 + 2j * pi * (cycles + m * alias_cycles))
     values *= sqrt(2.0 * pi) / dq * (delta**2 / pi) ** 0.25 / sqrt(norm_sq)
     return band, values
-
-
-def _gaussian_pointer(grid: PointerGrid, delta: float) -> PointerState:
-    """make_gaussian(grid, delta) held as its closed-form spectrum; its
-    samples are built by one inverse FFT only if something reads them."""
-    return PointerState._held(grid, None, *_gaussian_spectrum(grid, delta))
 
 
 class Moments(NamedTuple):
@@ -594,21 +573,17 @@ class JointState:
     def branches(self) -> tuple[Branch, ...]:
         """One Branch per cluster, its pointer translated by g*eigenvalue.
 
-        Built on first access, one inverse FFT per cluster; post_select
+        Built on first access with one batched inverse FFT; post_select
         works from the spectrum and never needs them.
         """
-        branches = []
-        for value, system_vec in self.clusters:
-            spectrum = self.spectrum * _translation_kernel(
-                self.grid, self.g, [value], [1.0], self.band
-            )
-            samples = _inverse_fft(self.grid, self.band, spectrum)
-            branches.append(Branch(
-                eigenvalue=value,
-                system_vec=system_vec,
-                pointer=PointerState._held(self.grid, samples, self.band, spectrum),
-            ))
-        return tuple(branches)
+        grid, band = self.grid, self.band
+        values = [value for value, _ in self.clusters]
+        spectra = _translated_spectra(grid, band, self.spectrum, self.g, values)
+        packets = _inverse_fft(grid, band, spectra)
+        return tuple(
+            Branch(value, system_vec, PointerState._held(grid, band, spectrum, samples))
+            for (value, system_vec), spectrum, samples in zip(self.clusters, spectra, packets)
+        )
 
     def norm(self) -> float:
         grid = self.grid
@@ -748,7 +723,8 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     The conditional pointer is sum_k <phi|P_k|psi> times the pointer
     translated by g*o_k. Its spectrum is the initial spectrum times the
     summed translation phases, formed on the initial spectrum's band only;
-    the state holds it, and its samples are one inverse FFT of it.
+    the state holds it and takes its samples with one inverse FFT when they
+    are read.
 
     Returns the conditional pointer state and the post-selection
     probability (the squared norm of the unnormalized conditional
@@ -762,7 +738,19 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     amplitudes = [complex(np.vdot(phi, vec)) for _, vec in joint.clusters]
     spectrum = _translation_kernel(grid, joint.g, values, amplitudes, band)
     spectrum *= joint.spectrum
-    probability = float(np.vdot(spectrum, spectrum).real) * grid.spacing / grid.n
+    probability = _checked_probability(
+        float(np.vdot(spectrum, spectrum).real) * grid.spacing / grid.n
+    )
+    spectrum /= sqrt(probability)
+    return PointerState._held(grid, band, spectrum), probability
+
+
+def _checked_probability(probability: float) -> float:
+    """A post-selection probability clamped to at most 1.
+
+    PostSelectionImpossibleError when it underflows below PROBABILITY_FLOOR;
+    NumericalGuardError when it exceeds 1 by more than NORM_TOL.
+    """
     if probability < PROBABILITY_FLOOR:
         raise PostSelectionImpossibleError(
             f"post-selection probability {probability:.3e} underflows; "
@@ -770,20 +758,16 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
         )
     if probability > 1.0 + NORM_TOL:
         raise NumericalGuardError(f"post-selection probability {probability} exceeds 1")
-    probability = min(probability, 1.0)
-    spectrum /= sqrt(probability)
-    samples = _inverse_fft(grid, band, spectrum)
-    return PointerState._held(grid, samples, band, spectrum), probability
+    return min(probability, 1.0)
 
 
 def _translated_spectra(
-    pointer: PointerState, g: float, values: np.ndarray
-) -> tuple[slice, np.ndarray]:
-    """Spectra of the pointer translated by g*value, one row per value, on
-    the band of the pointer's held spectrum."""
-    band, base = pointer.spectrum
-    return band, np.stack([base * _translation_kernel(pointer.grid, g, [value], [1.0], band)
-                           for value in values])
+    grid: PointerGrid, band: slice, spectrum: np.ndarray, g: float, values
+) -> np.ndarray:
+    """The spectrum (values on grid.momenta_sorted[band]) of a packet
+    translated by g*value, one row per value."""
+    return np.stack([spectrum * _translation_kernel(grid, g, [value], [1.0], band)
+                     for value in values])
 
 
 def _mode_product(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
@@ -893,7 +877,9 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     couplings : sequence of (operator, g, pointer)
         Impulse couplings applied left to right. Each must satisfy the
         weak-regime guard g * max|o| <= delta/10, with delta the pointer's
-        Gaussian-equivalent width sqrt(2 Var Q).
+        Gaussian-equivalent width sqrt(2 Var Q). That width is read off
+        the samples, so the bound allows a relative round-off of
+        WEAK_GUARD_RTOL (1e-12): g * max|o| = delta/10 is always accepted.
     phi : array_like
         Normalized post-selection state.
 
@@ -939,7 +925,7 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
             raise InputError(f"coupling {k}: pointer must be a PointerState")
         bound = float(np.max(np.abs(eig.eigenvalues)))
         width = sqrt(2.0 * var_q(ptr))
-        if abs(g) * bound > width / 10.0:
+        if abs(g) * bound > width / 10.0 * (1.0 + WEAK_GUARD_RTOL):
             raise GridGuardError(
                 f"coupling {k}: g*max|o| = {abs(g) * bound:.6g} exceeds the weak-regime "
                 f"guard delta/10 = {width / 10.0:.6g}"
@@ -982,29 +968,22 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     del vectors
 
     spectra = [
-        _translated_spectra(ptr, g, values)
+        _translated_spectra(ptr.grid, *ptr.spectrum, g, values)
         for ptr, g, values in zip(pointers, gains, cluster_values)
     ]
     overlaps = [
         # S[j, i] = <psi_j | psi_i>, summed over the spectra (Parseval)
         spectrum.conj() @ spectrum.T * (ptr.grid.spacing / ptr.grid.n)
-        for (_, spectrum), ptr in zip(spectra, pointers)
+        for spectrum, ptr in zip(spectra, pointers)
     ]
 
     weights = _marginal_weights(amplitudes, overlaps)
     # sum_(i,j) A[i] conj(A[j]) prod_l S_l[j_l, i_l], read off any marginal.
-    probability = float(np.real(np.sum(weights[0] * overlaps[0].T)))
-    if probability < PROBABILITY_FLOOR:
-        raise PostSelectionImpossibleError(
-            f"post-selection probability {probability:.3e} underflows"
-        )
-    if probability > 1.0 + NORM_TOL:
-        raise NumericalGuardError(f"post-selection probability {probability} exceeds 1")
-    probability = min(probability, 1.0)
+    probability = _checked_probability(float(np.real(np.sum(weights[0] * overlaps[0].T))))
 
     marginals = []
-    for w, (band, spectrum), ptr in zip(weights, spectra, pointers):
-        grid_k = ptr.grid
+    for w, spectrum, ptr in zip(weights, spectra, pointers):
+        grid_k, band = ptr.grid, ptr.spectrum[0]
         packets = _inverse_fft(grid_k, band, spectrum)
         rho_q = _mixed_density(w, packets) / probability
         rho_p = np.zeros(grid_k.n)

@@ -105,7 +105,7 @@ class Scenario:
 
     def initial_pointer(self) -> pointer.PointerState:
         """The width-delta Gaussian pointer, held as its closed-form spectrum."""
-        return pointer._gaussian_pointer(self.grid, self.coupling.delta)
+        return pointer.make_gaussian(self.grid, self.coupling.delta)
 
     def run(self) -> tuple[pointer.PointerState, float]:
         """Couple, post-select, and cache the conditional pointer state

@@ -307,6 +307,30 @@ def test_exit_code_undersampled_pointer(capsys):
     assert code == 0
 
 
+def test_exit_code_undersampled_pointer_on_an_offset_grid(tmp_path, capsys):
+    # q_min/dq = 1/4 mod 1 cancels the norm defect's first term, so the
+    # samples alone pass their norm check at pi delta/dq = 2.5 and 3.0, while
+    # their var_P misses 1/(2 delta^2) by 1.4e-3 and 8e-5 relative; the bound
+    # on pi delta/dq rejects both.
+    box = three_box("C")
+    dq = 20.0 / 256
+    for ratio in (2.5, 3.0):
+        delta = ratio * dq / np.pi
+        scenario = Scenario(
+            name="offset-grid",
+            pre=box.pre,
+            post=box.post,
+            operator=box.operator,
+            coupling=CouplingConfig(g=0.0, delta=delta),
+            grid=pointer.PointerGrid(n=256, q_min=-127.75 * dq, q_max=128.25 * dq),
+        )
+        path = tmp_path / f"offset-{ratio}.scenario"
+        save_scenario(scenario, path)
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+        assert code == 4
+        assert "undersamples" in err and "raise the grid size (--grid-n)" in err
+
+
 def test_exit_code_convergence(tmp_path, capsys, monkeypatch):
     path = dense_scenario_file(tmp_path)
 

@@ -56,6 +56,14 @@ SEQUENTIAL_HELD_CAP = 2**26
 # block. K = 22 dim-2 couplings at the index cap take ~4 s this way and ~8 s
 # with a matmul per block; any width from 16 to 128 does as well as 32.
 _GEMM_BLOCK = 32
+# Shortest row of _inverse_fft's coset split: a grid of at least four rows
+# of m = max(_FFT_ROW, band width rounded up to a power of two) points is
+# inverted as n/m rows. Medians of 50-200 alternating calls on a 201-bin
+# band (2-core Xeon): from n = 2^16 to 2^20 one transform takes 0.39-0.80
+# of the whole-lattice ifft and four batched ones 0.58-0.93. Rows of 2^15
+# gained nothing at n = 2^16 (batched), rows of 2^13 were slower from
+# n = 2^17 up, and a two-row split (n = 2^15) gained nothing.
+_FFT_ROW = 2**14
 
 
 @dataclass(frozen=True)
@@ -235,7 +243,9 @@ class PointerState:
 
     def position_density(self) -> np.ndarray:
         """|psi(q)|^2 on grid.points; integrates to 1 with weight dq."""
-        return np.abs(self.samples) ** 2
+        rho = np.abs(self.samples)
+        rho *= rho
+        return rho
 
     def momentum_wavefunction(self) -> np.ndarray:
         """Momentum amplitudes on grid.momenta_sorted.
@@ -271,14 +281,71 @@ def _spectral_density(grid: PointerGrid, values: np.ndarray) -> np.ndarray:
 
 def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarray:
     """Samples whose DFT is ``values`` on grid.momenta_sorted[band] (last
-    axis) and zero elsewhere: the band zero-filled to the whole lattice in
-    np.fft storage order, then inverted."""
+    axis) and zero elsewhere.
+
+    Rows are m = max(_FFT_ROW, 2^ceil(log2 width)) points long. A grid of
+    fewer than four rows takes the band zero-filled to the whole lattice in
+    np.fft storage order and inverted. A larger grid is inverted as its
+    s = n/m interleaved cosets: sample t + s u is ifft_m(Y_t)[u] / s, where
+    row Y_t holds values[j] e^(2 pi i j t/n) at bin j mod m (the band fits
+    in m bins, so none collide). One batched ifft of the (s, m) rows and one
+    transpose replace a full-lattice ifft that no longer fits in cache.
+    """
     n, half = grid.n, grid.n // 2
-    full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
-    negative = half - band.start  # bins below p = 0
-    full[..., n - negative :] = values[..., :negative]
-    full[..., : band.stop - half] = values[..., negative:]
-    return np.fft.ifft(full)
+    width = band.stop - band.start
+    if n < 4 * _FFT_ROW or n < 4 * width:  # fewer than four rows
+        full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
+        negative = half - band.start  # bins below p = 0
+        full[..., n - negative :] = values[..., :negative]
+        full[..., : band.stop - half] = values[..., negative:]
+        return np.fft.ifft(full)
+    m = max(_FFT_ROW, 1 << (width - 1).bit_length())
+    s, lead = n // m, values.shape[:-1]
+    twiddle = _coset_twiddle(n, s, band.start - half, width)
+    rows = np.zeros(lead + (s, m), dtype=complex)
+    # The band's bins j mod m: one run from ``start``, wrapping past m once.
+    start = (band.start - half) % m
+    split = min(width, m - start)
+    for dst, src in ((slice(start, start + split), slice(0, split)),
+                     (slice(0, width - split), slice(split, width))):
+        np.multiply(values[..., None, src], twiddle[:, src], out=rows[..., dst])
+    del twiddle
+    cosets = np.fft.ifft(rows)
+    del rows
+    return cosets.swapaxes(-1, -2).reshape(lead + (n,))
+
+
+def _coset_twiddle(n: int, s: int, j0: int, width: int) -> np.ndarray:
+    """e^(2 pi i j t/n) / s for rows t < s and columns j = j0 .. j0 + width - 1.
+
+    With j = j0 + c*step + f (0 <= f < step ~ sqrt(width)) each entry is the
+    product of a coarse root e^(2 pi i (j0 + c*step) t/n) and a fine one
+    e^(2 pi i f t/n), so about 2 s sqrt(width) roots build the s x width
+    table. 1/s is a power of two and scales it exactly.
+    """
+    step = 1 << ((width - 1).bit_length() + 1) // 2
+    t = np.arange(s)[:, None, None]
+    coarse = _roots_of_unity(n, t * (j0 + step * np.arange(-(-width // step)))[:, None])
+    coarse *= 1.0 / s
+    fine = _roots_of_unity(n, t * np.arange(step))
+    return (coarse * fine).reshape(s, -1)[:, :width]
+
+
+def _roots_of_unity(n: int, k: np.ndarray) -> np.ndarray:
+    """e^(2 pi i k/n) for integers k and n a power of two >= 8.
+
+    Each is i^q (cos a +- i sin a) with a = 2 pi r/n in [0, pi/4], read off
+    the octant of k mod n: a few times more accurate than exp of the full
+    phase, whose rounding grows with the angle.
+    """
+    octant, r = np.divmod(k % n, n // 8)
+    odd = (octant & 1) == 1
+    angle = (2.0 * pi / n) * np.where(odd, n // 8 - r, r)
+    cos, sin = np.cos(angle), np.sin(angle)
+    sin[odd] *= -1.0
+    quarter = (octant + 1) // 2 % 4  # nearest multiple of pi/2, in quarter turns
+    return (np.choose(quarter, (cos, -sin, -cos, sin))
+            + 1j * np.choose(quarter, (sin, cos, -sin, -cos)))
 
 
 class MixedPointerState:
@@ -454,8 +521,13 @@ def _density_moments(x: np.ndarray, rho: np.ndarray, weight: float) -> tuple[flo
     total = float(rho.sum() * weight)
     if total <= 0.0:
         raise InputError("density has zero total mass")
-    mu = float(np.sum(x * rho) * weight / total)
-    return total, mu, float(np.sum((x - mu) ** 2 * rho) * weight / total)
+    # One scratch array holds x*rho, then (x - mu)^2 rho.
+    scratch = np.multiply(x, rho)
+    mu = float(np.sum(scratch) * weight / total)
+    np.subtract(x, mu, out=scratch)
+    scratch *= scratch
+    scratch *= rho
+    return total, mu, float(np.sum(scratch) * weight / total)
 
 
 def _position_moments(state) -> tuple[float, float, float]:

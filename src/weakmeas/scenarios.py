@@ -156,7 +156,29 @@ def _format_complex(t: complex) -> str:
     return f"{_format_real(t.real)}{sign}{_format_real(abs(t.imag))}j"
 
 
-_THREE_BOX_WEAK_VALUES = {"A": 1.0, "B": 1.0, "C": -1.0, "ABC": 1.0}
+def _three_box_scenario(key: str, diag: tuple[float, ...], weak_value: float) -> Scenario:
+    return Scenario(
+        name=f"three-box/{key}",
+        pre=np.ones(3, dtype=complex) / np.sqrt(3.0),
+        post=np.array([1.0, 1.0, -1.0], dtype=complex) / np.sqrt(3.0),
+        operator=np.diag(np.asarray(diag, dtype=complex)),
+        coupling=CouplingConfig(g=0.05, delta=1.0),
+        grid=_make_grid(1.0, 0.05, 1.0, abs(weak_value), pointer.DEFAULT_GRID_N, None),
+        weak_value=complex(weak_value),
+    )
+
+
+# The three-box states and projectors, validated once here; three_box copies
+# them into each build without re-checking these constants.
+_THREE_BOX = {
+    key: _three_box_scenario(key, diag, weak_value)
+    for key, diag, weak_value in (
+        ("A", (1.0, 0.0, 0.0), 1.0),
+        ("B", (0.0, 1.0, 0.0), 1.0),
+        ("C", (0.0, 0.0, 1.0), -1.0),
+        ("ABC", (1.0, 1.0, 1.0), 1.0),
+    )
+}
 
 
 def three_box(
@@ -175,27 +197,12 @@ def three_box(
     ``ABC`` for their sum (the identity, weak value 1).
     """
     key = box.upper()
-    if key not in _THREE_BOX_WEAK_VALUES:
+    if key not in _THREE_BOX:
         raise ScenarioFormatError(f"unknown box {box!r}; choose A, B, C or ABC")
-    diag = {
-        "A": (1.0, 0.0, 0.0),
-        "B": (0.0, 1.0, 0.0),
-        "C": (0.0, 0.0, 1.0),
-        "ABC": (1.0, 1.0, 1.0),
-    }[key]
-    operator = np.diag(np.asarray(diag, dtype=complex))
-    pre = np.ones(3, dtype=complex) / np.sqrt(3.0)
-    post = np.array([1.0, 1.0, -1.0], dtype=complex) / np.sqrt(3.0)
-    wv = _THREE_BOX_WEAK_VALUES[key]
-    return Scenario(
-        name=f"three-box/{key}",
-        pre=pre,
-        post=post,
-        operator=operator,
-        coupling=CouplingConfig(g=float(g), delta=float(delta)),
-        grid=_make_grid(delta, g, 1.0, abs(wv), grid_n, grid_extent),
-        weak_value=complex(wv),
-    )
+    scenario = copy.copy(_THREE_BOX[key])
+    scenario.coupling = CouplingConfig(g=float(g), delta=float(delta))
+    scenario.grid = _make_grid(delta, g, 1.0, abs(scenario.weak_value), grid_n, grid_extent)
+    return scenario
 
 
 def _spin_post_ket(target: complex) -> np.ndarray:

@@ -534,7 +534,7 @@ def test_exit_code_parseval_guard(capsys, monkeypatch):
 
 
 def test_simulate_at_grid_cap(capsys):
-    # n = 2^20 took 0.13 s and a 40 MB tracemalloc peak on a 2-core Xeon
+    # n = 2^20 took 0.04-0.06 s and a 40 MB tracemalloc peak on a 2-core Xeon
     cap = pointer.GRID_MAX_N
     tracemalloc.start()
     try:

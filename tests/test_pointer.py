@@ -969,6 +969,22 @@ def test_moments_match_single_moment_functions():
         assert m.mean_p != 0.0
 
 
+def test_position_moments_keep_the_bits_of_the_plain_expressions():
+    # position_density squares |psi| in place and _density_moments reuses
+    # one scratch array; both keep the bits of the plain expressions.
+    grid = default_grid(1.0, 1.0)
+    pre = np.array([0.8, 0.6], dtype=complex)
+    state, _ = post_select(couple(pre, make_gaussian(grid, 1.0), SZ, g=0.7),
+                           np.array([1.0, 1.0j]) / np.sqrt(2))
+    rho = state.position_density()
+    assert np.array_equal(rho, np.abs(state.samples) ** 2)
+    x, weight = grid.points, grid.spacing
+    total = float(rho.sum() * weight)
+    mu = float(np.sum(x * rho) * weight / total)
+    var = float(np.sum((x - mu) ** 2 * rho) * weight / total)
+    assert pointer._density_moments(x, rho, weight) == (total, mu, var)
+
+
 class _CorruptedDensities:
     """A MixedPointerState-like readout whose momentum density carries 1e-6
     more mass than its position density."""
@@ -1001,3 +1017,86 @@ def test_momentum_density_drops_the_q_min_phase():
     state = make_gaussian(grid, 1.0, center=0.9)
     rho = state.momentum_density()
     assert np.allclose(rho, np.abs(state.momentum_wavefunction()) ** 2, rtol=0, atol=1e-15)
+
+
+# ----------------------------------------------------------- inverse FFT
+
+
+def _zero_filled_ifft(grid, band, values):
+    """np.fft.ifft of the band zero-filled to the whole lattice: sorted bin
+    i is storage bin (i - n/2) mod n."""
+    full = np.zeros(values.shape[:-1] + (grid.n,), dtype=complex)
+    full[..., (np.arange(band.start, band.stop) - grid.n // 2) % grid.n] = values
+    return np.fft.ifft(full)
+
+
+def _packet_spectra(rng, lead, width):
+    """Gaussian band values with a random linear phase per row, as the
+    spectra of translated pointer packets are."""
+    x = np.linspace(-4.0, 4.0, width)
+    shifts = rng.uniform(-width, width, size=lead + (1,))
+    return np.exp(-0.5 * x**2 - 1j * shifts * x)
+
+
+@pytest.mark.parametrize("n", [2**8, 2**12, 2**15, 2**16, 2**19, 2**20])
+def test_inverse_fft_matches_the_zero_filled_transform(n, monkeypatch):
+    # Narrow, odd-width off-centre, wider than one row, and the full lattice
+    # (as states built from samples hold). A grid of fewer than four rows is
+    # the zero-filled transform bit for bit; a larger one is inverted as
+    # rows of m < n points and agrees within 1e-15 of the peak.
+    row = pointer._FFT_ROW
+    grid = PointerGrid(n=n, q_min=-1.0, q_max=1.0)
+    half = n // 2
+    bands = [slice(half - 100, half + 101), slice(half - 37, half + 2),
+             slice(half - row // 2 - 3, half + row // 2 + 4), slice(0, n)]
+    lengths = []
+    ifft = np.fft.ifft
+
+    def recorded(a, *args, **kwargs):
+        lengths.append(a.shape[-1])
+        return ifft(a, *args, **kwargs)
+
+    rng = np.random.default_rng(n)
+    for band in bands:
+        width = band.stop - band.start
+        if band.start < 0 or band.stop > n:
+            continue
+        m = max(row, 1 << (width - 1).bit_length())
+        for lead in ((), (2,)):
+            values = _packet_spectra(rng, lead, width)
+            want = _zero_filled_ifft(grid, band, values)
+            monkeypatch.setattr(np.fft, "ifft", recorded)
+            got = pointer._inverse_fft(grid, band, values)
+            monkeypatch.setattr(np.fft, "ifft", ifft)
+            assert got.shape == lead + (n,)
+            if n < 4 * m:
+                assert lengths.pop() == n
+                assert np.array_equal(got, want)
+            else:
+                assert lengths.pop() == m
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_inverse_fft_holds_two_grid_arrays_at_the_cap():
+    # The row array and its transform, then the transform and the samples:
+    # never three n-length complex arrays at once.
+    grid = PointerGrid(n=pointer.GRID_MAX_N, q_min=-2000.0, q_max=2000.0)
+    band, values = pointer._gaussian_spectrum(grid, 100.0)
+    tracemalloc.start()
+    try:
+        samples = pointer._inverse_fft(grid, band, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.stop - band.start < grid.n // 1000
+    assert peak <= 2.25 * samples.nbytes
+
+
+def test_roots_of_unity_are_accurate_in_every_octant():
+    n = 2**20
+    k = np.arange(-n, 2 * n, 97)
+    angle = 2.0 * np.pi * (k % n) / n
+    roots = pointer._roots_of_unity(n, k)
+    assert np.max(np.abs(roots - np.exp(1j * angle))) <= 1e-15
+    # Quarter turns are exact.
+    assert pointer._roots_of_unity(8, np.arange(0, 8, 2)).tolist() == [1, 1j, -1, -1j]

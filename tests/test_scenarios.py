@@ -43,6 +43,25 @@ def test_three_box_rejects_unknown_box():
         three_box("D")
 
 
+def test_three_box_builds_share_the_validated_constants():
+    # Each build copies the states and projector validated at import; the
+    # coupling, grid and cached run stay its own, and user inputs are still
+    # checked.
+    a = three_box("C")
+    b = three_box("C", g=0.1, grid_n=2**10)
+    assert a.pre is b.pre and a.post is b.post and a.operator is b.operator
+    assert not (a.pre.flags.writeable or a.post.flags.writeable or a.operator.flags.writeable)
+    assert (a.coupling.g, a.grid.n) == (0.05, 4096)
+    assert (b.coupling.g, b.grid.n) == (0.1, 2**10)
+    a.run()
+    assert b._conditional is None and three_box("C")._conditional is None
+    assert serialize_scenario(three_box("C", g=0.1, grid_n=2**10)) == serialize_scenario(b)
+    with pytest.raises(InputError):
+        three_box("C", grid_n=4096.5)
+    with pytest.raises(InputError):
+        three_box("C", delta=-1.0)
+
+
 def test_spin_amplification_invariant():
     rng = np.random.default_rng(77)
     for _ in range(200):

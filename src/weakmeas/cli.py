@@ -278,17 +278,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     records = montecarlo.run_records(args.seed, args.n, scenario)
     report = montecarlo.estimate_from_records(records, scenario.coupling.g)
-    sys.stdout.write(
-        textout.render_keyvalues(
-            {
-                "n_total": report.n_total,
-                "n_accepted": report.n_accepted,
-                "acceptance_rate": report.acceptance_rate,
-                "wv_estimate": report.wv_estimate,
-                "std_error": report.std_error,
-            }
-        )
-    )
+    montecarlo.write_report(report, sys.stdout)
     if args.out:
         outdir = _ensure_outdir(args.out)
         header = _header(
@@ -316,7 +306,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "n_accepted",
             "probability",
         ]
-        probability = _simulate_summary(base)["probability"]
+        probability = base.run()[1]
         # Trial k does not depend on n, so each prefix of one draw is the
         # run estimate_weak_value would make at that n.
         records = montecarlo.run_records(args.seed, int(values[-1]), base)

@@ -14,14 +14,14 @@ is the acceptance uniform, lane 1 the readout uniform and lane 2 the
 trial's stream id. Since consecutive counters are consecutive blocks of one
 Philox stream, a range of trials is drawn in one call, and every trial is a
 pure function of (seed, k): records are bit-reproducible per trial,
-independent of batch size, chunking or worker count. Trials are kept as
-columns (``TrialColumns``), not as one object per trial.
+independent of batch size or chunking. Trials are kept as columns
+(``TrialColumns``), not as one object per trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class TrialColumns:
     """Trials 0..n-1 of a sampling run, one array per field.
 
     ``readout_q`` is NaN for rejected trials. Indexing and iteration give
-    ``RunRecord`` rows, so the columns stand in for a list of records.
+    ``RunRecord`` rows.
     """
 
     accepted: np.ndarray
@@ -89,18 +89,6 @@ class TrialColumns:
     def head(self, n: int) -> TrialColumns:
         """The first n trials (views, no copy)."""
         return TrialColumns(self.accepted[:n], self.readout_q[:n], self.rng_stream_id[:n])
-
-    @classmethod
-    def from_records(cls, records) -> TrialColumns:
-        """Columns of a sequence of RunRecords, in the order given."""
-        return cls(
-            accepted=np.array([r.accepted for r in records], dtype=bool),
-            readout_q=np.array(
-                [math.nan if r.readout_q is None else r.readout_q for r in records],
-                dtype=float,
-            ),
-            rng_stream_id=np.array([r.rng_stream_id for r in records], dtype=np.uint64),
-        )
 
 
 @dataclass(frozen=True)
@@ -179,51 +167,41 @@ def sample_run(seed: int, trial: int, scenario: Scenario) -> RunRecord:
     return replace(record, trial_index=trial)
 
 
-def run_records(
-    seed: int, n_trials: int, scenario: Scenario, workers: int = 1
-) -> TrialColumns:
+def run_records(seed: int, n_trials: int, scenario: Scenario) -> TrialColumns:
     """Draw trials 0..n_trials-1 as columns, CHUNK_TRIALS per Philox call.
 
-    ``workers`` splits the trial range into that many contiguous parts,
-    drawn one after another; the result is identical for any value.
     More than MAX_TRIALS trials raise InputError before anything is drawn.
     """
     seed = _check_seed(seed)
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+    n = _check_seed(n_trials, "n_trials")
+    if n < 1:
         raise InputError(f"n_trials must be a positive integer, got {n_trials!r}")
-    if n_trials > MAX_TRIALS:
-        raise InputError(f"n_trials {n_trials} exceeds the cap {MAX_TRIALS}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InputError(f"workers must be a positive integer, got {workers!r}")
+    if n > MAX_TRIALS:
+        raise InputError(f"n_trials {n} exceeds the cap {MAX_TRIALS}")
     ctx = _context(scenario, seed)
-    n = int(n_trials)
     columns = TrialColumns(
         accepted=np.empty(n, dtype=bool),
         readout_q=np.empty(n, dtype=float),
         rng_stream_id=np.empty(n, dtype=np.uint64),
     )
-    part = math.ceil(n / int(workers))
-    for first in range(0, n, part):
-        last = min(first + part, n)
-        for lo in range(first, last, CHUNK_TRIALS):
-            hi = min(lo + CHUNK_TRIALS, last)
-            chunk = _draw(ctx, lo, hi)
-            columns.accepted[lo:hi] = chunk.accepted
-            columns.readout_q[lo:hi] = chunk.readout_q
-            columns.rng_stream_id[lo:hi] = chunk.rng_stream_id
+    for lo in range(0, n, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, n)
+        chunk = _draw(ctx, lo, hi)
+        columns.accepted[lo:hi] = chunk.accepted
+        columns.readout_q[lo:hi] = chunk.readout_q
+        columns.rng_stream_id[lo:hi] = chunk.rng_stream_id
     return columns
 
 
-def estimate_from_records(records, g: float) -> EstimateReport:
-    """Reduce trial columns, or a list of RunRecords, to an EstimateReport
-    (fixed reduction order)."""
+def estimate_from_records(records: TrialColumns, g: float) -> EstimateReport:
+    """Reduce trial columns to an EstimateReport (fixed reduction order)."""
+    if not isinstance(records, TrialColumns):
+        raise InputError(f"expected TrialColumns, got {type(records).__name__}")
     if g == 0.0:
         raise InputError("the weak-value estimator divides by g; g = 0 is unusable")
     n_total = len(records)
     if n_total == 0:
         raise InputError("no records to aggregate")
-    if not isinstance(records, TrialColumns):
-        records = TrialColumns.from_records(records)
     readouts = records.readout_q[records.accepted]
     n_accepted = readouts.size
     if n_accepted == 0:
@@ -244,14 +222,10 @@ def estimate_from_records(records, g: float) -> EstimateReport:
     )
 
 
-def estimate_weak_value(
-    seed: int, n_trials: int, scenario: Scenario, workers: int = 1
-) -> EstimateReport:
+def estimate_weak_value(seed: int, n_trials: int, scenario: Scenario) -> EstimateReport:
     """Sample n_trials runs and estimate Re(weak value) from the accepted
     readouts. Raises ZeroAcceptedError when nothing is accepted."""
-    return estimate_from_records(
-        run_records(seed, n_trials, scenario, workers=workers), scenario.coupling.g
-    )
+    return estimate_from_records(run_records(seed, n_trials, scenario), scenario.coupling.g)
 
 
 def write_runs(records: TrialColumns, target, header: dict | None = None,
@@ -267,15 +241,5 @@ def write_runs(records: TrialColumns, target, header: dict | None = None,
 
 
 def write_report(report: EstimateReport, target, header: dict | None = None) -> None:
-    """Key = value export of an EstimateReport."""
-    textout.write_keyvalues(
-        target,
-        {
-            "n_total": report.n_total,
-            "n_accepted": report.n_accepted,
-            "acceptance_rate": report.acceptance_rate,
-            "wv_estimate": report.wv_estimate,
-            "std_error": report.std_error,
-        },
-        header,
-    )
+    """Key = value export of an EstimateReport, in field order."""
+    textout.write_keyvalues(target, asdict(report), header)

@@ -295,9 +295,12 @@ def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarr
     width = band.stop - band.start
     if n < 4 * _FFT_ROW or n < 4 * width:  # fewer than four rows
         full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
-        negative = half - band.start  # bins below p = 0
-        full[..., n - negative :] = values[..., :negative]
-        full[..., : band.stop - half] = values[..., negative:]
+        # The band's storage bins j mod n: one run from ``start``, wrapping
+        # past n at most once (at p = 0 when the band contains it).
+        start = (band.start - half) % n
+        split = min(width, n - start)
+        full[..., start : start + split] = values[..., :split]
+        full[..., : width - split] = values[..., split:]
         return np.fft.ifft(full)
     m = max(_FFT_ROW, 1 << (width - 1).bit_length())
     s, lead = n // m, values.shape[:-1]

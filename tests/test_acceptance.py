@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import weakmeas as wm
+from weakmeas import montecarlo
 
 from oracles import random_hermitian, random_state
 
@@ -168,18 +169,19 @@ def test_criterion_6_unitarity_completeness_parseval():
     )
 
 
-def test_criterion_7_monte_carlo_soundness():
+def test_criterion_7_monte_carlo_soundness(monkeypatch):
     """Three-box box-C scenario, g = 0.05, delta = 1, N = 10^5, fixed seed:
     the estimate lands within 5 standard errors of -1, the acceptance rate
     within 4 binomial standard deviations of the exact probability, and the
-    report is bit-identical across reruns and worker counts - in < 60 s."""
+    report is bit-identical across reruns and Philox chunk sizes - in < 60 s."""
     sc = wm.three_box("C", g=0.05, delta=1.0)
     _, prob = sc.run()
     n = 100000
     start = time.perf_counter()
     report = wm.estimate_weak_value(123, n, sc)
     rerun = wm.estimate_weak_value(123, n, sc)
-    threaded = wm.estimate_weak_value(123, n, sc, workers=4)
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 2**10 + 1)
+    repartitioned = wm.estimate_weak_value(123, n, sc)
     elapsed = time.perf_counter() - start
     dev = abs(report.wv_estimate - (-1.0))
     acc_dev = abs(report.n_accepted - n * prob)
@@ -188,12 +190,12 @@ def test_criterion_7_monte_carlo_soundness():
         dev <= 5.0 * report.std_error
         and acc_dev <= acc_band
         and report == rerun
-        and report == threaded
+        and report == repartitioned
         and elapsed < 60.0
     )
     _report(
         "criterion 7 (MC: estimate -1 +- 5 SE, acceptance +- 4 binomial SD, "
-        "bit-stable, worker-invariant, < 60 s)",
+        "bit-stable, partition-invariant, < 60 s)",
         ok,
         f"estimate = {report.wv_estimate:.5f} +- {report.std_error:.5f} (dev {dev:.4f}), "
         f"n_acc = {report.n_accepted} vs {n * prob:.1f} (band {acc_band:.1f}), "

@@ -242,6 +242,18 @@ def test_scan_n_trials_rows_match_separate_estimates(tmp_path, capsys):
     assert "# rng_stream = philox4x64-10" in (tmp_path / "scan.tsv").read_text().splitlines()
 
 
+def test_scan_n_trials_reads_probability_as_sample_does(capsys):
+    # The n_trials table prints no moments, so a grid too tight for the
+    # fidelity reference must not stop it; sample runs on the same grid.
+    argv = ("--scenario", "three-box/C", "--grid-extent", "8.02")
+    code, out, _ = run_cli(capsys, "scan", *argv, "--sweep", "n_trials=10,100")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    _, probability = resolve("three-box/C", grid_extent=8.02).run()
+    assert [row[5] for row in rows] == [textout.format_value(probability)] * 2
+    assert run_cli(capsys, "sample", *argv, "--n", "100")[0] == 0
+
+
 def test_scan_g_includes_zero(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--scenario", "three-box/C", "--sweep", "g=0,0.05"

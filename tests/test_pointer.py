@@ -1040,15 +1040,17 @@ def _packet_spectra(rng, lead, width):
 
 @pytest.mark.parametrize("n", [2**8, 2**12, 2**15, 2**16, 2**19, 2**20])
 def test_inverse_fft_matches_the_zero_filled_transform(n, monkeypatch):
-    # Narrow, odd-width off-centre, wider than one row, and the full lattice
-    # (as states built from samples hold). A grid of fewer than four rows is
+    # Narrow, odd-width off-centre, wider than one row, the full lattice
+    # (as states built from samples hold), and bands wholly above and wholly
+    # below p = 0. A grid of fewer than four rows is
     # the zero-filled transform bit for bit; a larger one is inverted as
     # rows of m < n points and agrees within 1e-15 of the peak.
     row = pointer._FFT_ROW
     grid = PointerGrid(n=n, q_min=-1.0, q_max=1.0)
     half = n // 2
     bands = [slice(half - 100, half + 101), slice(half - 37, half + 2),
-             slice(half - row // 2 - 3, half + row // 2 + 4), slice(0, n)]
+             slice(half - row // 2 - 3, half + row // 2 + 4), slice(0, n),
+             slice(half + 5, half + 20), slice(half // 2, half - 3)]
     lengths = []
     ifft = np.fft.ifft
 

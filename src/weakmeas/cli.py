@@ -308,23 +308,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
         ]
         probability = base.run()[1]
         # Trial k does not depend on n, so each prefix of one draw is the
-        # run estimate_weak_value would make at that n.
+        # run estimate_weak_value would make at that n. A prefix with no
+        # accepted trial is a row of nan estimates; only the largest n
+        # raises ZeroAcceptedError (exit 3), as sample does.
         records = montecarlo.run_records(args.seed, int(values[-1]), base)
         rows = []
         for value in values:
-            report = montecarlo.estimate_from_records(
-                records.head(int(value)), base.coupling.g
-            )
-            rows.append(
-                [
-                    int(value),
-                    report.wv_estimate,
-                    report.std_error,
-                    report.acceptance_rate,
-                    report.n_accepted,
-                    probability,
-                ]
-            )
+            head = records.head(int(value))
+            if head.accepted.any() or value == values[-1]:
+                report = montecarlo.estimate_from_records(head, base.coupling.g)
+                estimates = [report.wv_estimate, report.std_error,
+                             report.acceptance_rate, report.n_accepted]
+            else:
+                estimates = [float("nan"), float("nan"), 0.0, 0]
+            rows.append([int(value), *estimates, probability])
         extras = {"sweep": args.sweep, "seed": args.seed, "rng_stream": montecarlo.RNG_STREAM}
     else:
         names = [

@@ -21,8 +21,8 @@ pointer by exactly g*o at any strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import cos, exp, floor, log, pi, prod, sqrt
+from functools import cached_property, lru_cache
+from math import cos, exp, floor, frexp, ldexp, log, pi, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -56,14 +56,6 @@ SEQUENTIAL_HELD_CAP = 2**26
 # block. K = 22 dim-2 couplings at the index cap take ~4 s this way and ~8 s
 # with a matmul per block; any width from 16 to 128 does as well as 32.
 _GEMM_BLOCK = 32
-# Shortest row of _inverse_fft's coset split: a grid of at least four rows
-# of m = max(_FFT_ROW, band width rounded up to a power of two) points is
-# inverted as n/m rows. Medians of 50-200 alternating calls on a 201-bin
-# band (2-core Xeon): from n = 2^16 to 2^20 one transform takes 0.39-0.80
-# of the whole-lattice ifft and four batched ones 0.58-0.93. Rows of 2^15
-# gained nothing at n = 2^16 (batched), rows of 2^13 were slower from
-# n = 2^17 up, and a two-row split (n = 2^15) gained nothing.
-_FFT_ROW = 2**14
 
 
 @dataclass(frozen=True)
@@ -281,74 +273,18 @@ def _spectral_density(grid: PointerGrid, values: np.ndarray) -> np.ndarray:
 
 def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarray:
     """Samples whose DFT is ``values`` on grid.momenta_sorted[band] (last
-    axis) and zero elsewhere.
-
-    Rows are m = max(_FFT_ROW, 2^ceil(log2 width)) points long. A grid of
-    fewer than four rows takes the band zero-filled to the whole lattice in
-    np.fft storage order and inverted. A larger grid is inverted as its
-    s = n/m interleaved cosets: sample t + s u is ifft_m(Y_t)[u] / s, where
-    row Y_t holds values[j] e^(2 pi i j t/n) at bin j mod m (the band fits
-    in m bins, so none collide). One batched ifft of the (s, m) rows and one
-    transpose replace a full-lattice ifft that no longer fits in cache.
-    """
+    axis) and zero elsewhere: the band zero-filled to the whole lattice in
+    np.fft storage order, then inverted."""
     n, half = grid.n, grid.n // 2
     width = band.stop - band.start
-    if n < 4 * _FFT_ROW or n < 4 * width:  # fewer than four rows
-        full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
-        # The band's storage bins j mod n: one run from ``start``, wrapping
-        # past n at most once (at p = 0 when the band contains it).
-        start = (band.start - half) % n
-        split = min(width, n - start)
-        full[..., start : start + split] = values[..., :split]
-        full[..., : width - split] = values[..., split:]
-        return np.fft.ifft(full)
-    m = max(_FFT_ROW, 1 << (width - 1).bit_length())
-    s, lead = n // m, values.shape[:-1]
-    twiddle = _coset_twiddle(n, s, band.start - half, width)
-    rows = np.zeros(lead + (s, m), dtype=complex)
-    # The band's bins j mod m: one run from ``start``, wrapping past m once.
-    start = (band.start - half) % m
-    split = min(width, m - start)
-    for dst, src in ((slice(start, start + split), slice(0, split)),
-                     (slice(0, width - split), slice(split, width))):
-        np.multiply(values[..., None, src], twiddle[:, src], out=rows[..., dst])
-    del twiddle
-    cosets = np.fft.ifft(rows)
-    del rows
-    return cosets.swapaxes(-1, -2).reshape(lead + (n,))
-
-
-def _coset_twiddle(n: int, s: int, j0: int, width: int) -> np.ndarray:
-    """e^(2 pi i j t/n) / s for rows t < s and columns j = j0 .. j0 + width - 1.
-
-    With j = j0 + c*step + f (0 <= f < step ~ sqrt(width)) each entry is the
-    product of a coarse root e^(2 pi i (j0 + c*step) t/n) and a fine one
-    e^(2 pi i f t/n), so about 2 s sqrt(width) roots build the s x width
-    table. 1/s is a power of two and scales it exactly.
-    """
-    step = 1 << ((width - 1).bit_length() + 1) // 2
-    t = np.arange(s)[:, None, None]
-    coarse = _roots_of_unity(n, t * (j0 + step * np.arange(-(-width // step)))[:, None])
-    coarse *= 1.0 / s
-    fine = _roots_of_unity(n, t * np.arange(step))
-    return (coarse * fine).reshape(s, -1)[:, :width]
-
-
-def _roots_of_unity(n: int, k: np.ndarray) -> np.ndarray:
-    """e^(2 pi i k/n) for integers k and n a power of two >= 8.
-
-    Each is i^q (cos a +- i sin a) with a = 2 pi r/n in [0, pi/4], read off
-    the octant of k mod n: a few times more accurate than exp of the full
-    phase, whose rounding grows with the angle.
-    """
-    octant, r = np.divmod(k % n, n // 8)
-    odd = (octant & 1) == 1
-    angle = (2.0 * pi / n) * np.where(odd, n // 8 - r, r)
-    cos, sin = np.cos(angle), np.sin(angle)
-    sin[odd] *= -1.0
-    quarter = (octant + 1) // 2 % 4  # nearest multiple of pi/2, in quarter turns
-    return (np.choose(quarter, (cos, -sin, -cos, sin))
-            + 1j * np.choose(quarter, (sin, cos, -sin, -cos)))
+    full = np.zeros(values.shape[:-1] + (n,), dtype=complex)
+    # The band's storage bins j mod n: one run from ``start``, wrapping past
+    # n at most once (at p = 0 when the band contains it).
+    start = (band.start - half) % n
+    split = min(width, n - start)
+    full[..., start : start + split] = values[..., :split]
+    full[..., : width - split] = values[..., split:]
+    return np.fft.ifft(full)
 
 
 class MixedPointerState:
@@ -533,26 +469,158 @@ def _density_moments(x: np.ndarray, rho: np.ndarray, weight: float) -> tuple[flo
     return total, mu, float(np.sum(scratch) * weight / total)
 
 
+# Band entries below 2^-200 of the peak are dropped before the band moments
+# are formed: they change no sum by more than 2^-200 of its size, and their
+# products would be subnormal numbers, ~10x slower to multiply.
+_BAND_FLOOR = 2.0**-200
+# _band_moments needs a long double wider than a double (x86-64: a 64-bit
+# mantissa). With doubles in its place, var_Q of simulate's benchmark
+# scenarios missed the closed form by up to 1.5e-14 relative, so where
+# numpy's long double is a double every state reads its samples.
+_EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+_PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _band_path(grid: PointerGrid, band: slice) -> bool:
+    """Whether _band_moments reads the position moments of a state holding
+    ``band``: w^2 <= 3 n log2 n for a band of w bins (and _EXTENDED). Its
+    work grows as w^2 and matched that of the inverse FFT and density pass
+    it replaces near this width (medians on a 2-core Xeon, n = 1024 to
+    8192, pointer bands). Wider bands, such as the whole lattice a state
+    built from samples holds, read the samples.
+    """
+    width = band.stop - band.start
+    n = int(grid.n)
+    return _EXTENDED and width * width <= 3 * n * (n.bit_length() - 1)
+
+
+@lru_cache(maxsize=32)
+def _lattice_kernels(n: int, width: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+    """_band_moments' weights for lags d = 1 .. width - 1 on an n-point
+    lattice, in long double: (-1)^d cot(pi d/n), (-1)^d / sin^2(pi d/n),
+    and K = (n^2 + 2)/12 + sum_d (-1)^d / sin^2(pi d/n)."""
+    d = np.arange(1, width)
+    angle = _PI_LD * d.astype(np.longdouble) / n
+    sign = (1 - 2 * (d % 2)).astype(np.longdouble)
+    sin = np.sin(angle)
+    slope = sign / np.tan(angle)
+    curvature = sign / (sin * sin)
+    constant = (np.longdouble(n) ** 2 + 2) / 12 + np.sum(curvature)
+    slope.setflags(write=False)
+    curvature.setflags(write=False)
+    return slope, curvature, constant
+
+
+def _band_moments(grid: PointerGrid, band: slice, values: np.ndarray) -> tuple[float, float, float]:
+    """Total mass, mean and variance of the position density of a state
+    holding ``values`` on grid.momenta_sorted[band], with no transform.
+
+    These are the lattice sums of _density_moments, wrap included. With
+    the band phase-shifted by (-1)^k, v_k = (-1)^k V_k, the samples become
+    psi_(m + n/2) = n^-1 sum_k v_k w^(mk) (w = e^(2 pi i/n)), a packet near
+    the grid centre at index m in [-n/2, n/2). Every sum_m f(m) |psi|^2
+    is then n^-2 sum_d r_d F(d), with r_d = sum_k conj(v_k) v_(k+d) the
+    band's autocorrelation (2w - 1 lags) and F(d) = sum_m f(m) w^(md) in
+    closed form. For d != 0 and c = pi d/n,
+
+        F(d) = (-1)^d n (-1/2 - (i/2) cot c)    for f = m
+        F(d) = (-1)^d n / (2 sin^2 c)           for f = m^2
+
+    and F(0) = -n/2 and n (n^2 + 2)/12. So, with r_0 = sum |v|^2,
+
+        <m>   = (sum_(d>0) (-1)^d cot(c) Im r_d - |sum_k V_k|^2 / 2) / r_0
+        <m^2> = K - sum_(d>0) (-1)^d D_d / sin^2(c) / r_0
+
+    where |sum_k V_k|^2 = n^2 |psi_0|^2 is the density at q_min, D_d =
+    r_0 - Re r_d and K = (n^2 + 2)/12 + sum_(0<d<w) (-1)^d / sin^2(c).
+
+    The terms of <m^2> are near-equal and alternate in sign, and the
+    weights of the small lags are large, so the sums, K and the lags
+    d < w/8 are formed in long double; past them the band's envelope makes
+    the float64 error of np.correlate negligible. A lag whose D_d is below
+    r_0/16 would lose bits as r_0 - Re r_d and takes it as
+    (1/2) sum_k |v_(k+d) - v_k|^2 instead. The variance is <m^2> - <m>^2
+    in long double, so a packet far from the grid centre loses about
+    (<m>/s.d.)^2 long-double units in the last place.
+    """
+    n, dq = int(grid.n), grid.spacing
+    magnitude = np.abs(values)
+    peak = float(magnitude.max())
+    kept = np.flatnonzero(magnitude >= peak * _BAND_FLOOR)
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    width, near = hi - lo, -(-(hi - lo) // 8)
+    exponent = frexp(peak)[1]
+    # v, scaled by a power of two (exact), after near - 1 zeros and before
+    # width - 1: np.correlate reads v and the zeros after it, the
+    # long-double lags v between near - 1 zeros on each side.
+    padded = np.zeros(near + 2 * width - 2, dtype=complex)
+    v = padded[near - 1 : near - 1 + width]
+    np.multiply(values[lo:hi], ldexp(1.0, -exponent), out=v)
+    edge = abs(v.sum()) ** 2
+    # (-1)^k with k = bin - n/2, n/2 even: negate the odd bins.
+    v[(band.start + lo + 1) % 2 :: 2] *= -1.0
+    r = np.correlate(padded[near - 1 :], v, "valid")
+    # Lags 1 <= d < near in long double: row d - 1 of ``rows`` is v moved by
+    # d, as (re, im) pairs, and ``base`` is v itself.
+    span = 2 * (width + near - 1)
+    pairs = padded[: near + width + near - 2].view(float).astype(np.longdouble)
+    step = pairs.strides[0]
+    rows = np.ndarray((near - 1, span), np.longdouble, pairs, 2 * step, (2 * step, step))
+    base = pairs[:span]
+    r0 = np.dot(base, base)
+    # Re(conj(a) b) = b . (Re a, Im a) and Im(conj(a) b) = b . (-Im a, Re a).
+    turned = (base.reshape(-1, 2)[:, ::-1] * np.array([-1, 1], np.longdouble)).reshape(-1)
+    im_r = r[1:].imag.astype(np.longdouble)
+    im_r[: near - 1] = np.dot(rows, turned)
+    gaps = r0 - r[1:].real
+    gaps[: near - 1] = r0 - np.dot(rows, base)
+    # A D_d below r0/16 loses 4 bits or more as r0 - Re r_d: take it as
+    # (1/2) sum_k |v_(k+d) - v_k|^2.
+    close = np.flatnonzero(gaps[: near - 1] < r0 / 16)
+    diff = rows[close] - base
+    gaps[close] = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    slope, curvature, constant = _lattice_kernels(n, width)
+    mean_m = (np.dot(slope, im_r) - edge / 2) / r0
+    var_m = constant - np.dot(curvature, gaps) / r0 - mean_m * mean_m
+    total = float(r0) * ldexp(dq / n, 2 * exponent)
+    return total, grid.q_min + (n // 2) * dq + dq * float(mean_m), dq * dq * float(var_m)
+
+
 def _position_moments(state) -> tuple[float, float, float]:
+    """Total mass, mean and variance of the position density: read off the
+    band of a PointerState whose band is narrow (_band_path), else one pass
+    over position_density()."""
     grid = state.grid
+    if isinstance(state, PointerState):
+        band, values = state.spectrum
+        if _band_path(grid, band):
+            return _band_moments(grid, band, values)
     return _density_moments(grid.points, state.position_density(), grid.spacing)
+
+
+def _momentum_density(state) -> tuple[np.ndarray, np.ndarray]:
+    """(momenta, density) wherever the momentum density may be nonzero: a
+    PointerState's band, else the whole sorted lattice."""
+    grid = state.grid
+    if isinstance(state, PointerState):
+        band, values = state.spectrum
+        return grid._momenta_on(band), _spectral_density(grid, values)
+    return grid.momenta_sorted, state.momentum_density()
 
 
 def moments(state) -> Moments:
     """Position and momentum moments of a PointerState or MixedPointerState.
 
-    One pass over the position density and one over the momentum density:
-    for a PointerState, over its spectrum's band only. Raises
-    NumericalGuardError when the two densities' totals differ by more than
-    NORM_TOL (Parseval).
+    A PointerState's momentum moments are one pass over its spectrum's band,
+    and so are its position moments unless the band is wide (_band_path);
+    otherwise each is one pass over its density. Raises NumericalGuardError
+    when the two densities' totals differ by more than NORM_TOL (Parseval).
+    On the band path both totals are sum |V|^2 dq/n, so the check binds
+    only where the position moments come from the samples or densities.
     """
     grid = state.grid
     total_q, mu_q, var_q_ = _position_moments(state)
-    if isinstance(state, PointerState):
-        band, values = state.spectrum
-        momenta, rho_p = grid._momenta_on(band), _spectral_density(grid, values)
-    else:
-        momenta, rho_p = grid.momenta_sorted, state.momentum_density()
+    momenta, rho_p = _momentum_density(state)
     total_p = float(rho_p.sum() * grid.momentum_spacing)
     if abs(total_p - total_q) > NORM_TOL * max(1.0, total_q):
         raise NumericalGuardError(
@@ -563,7 +631,7 @@ def moments(state) -> Moments:
 
 
 def mean_q(state) -> float:
-    """Mean pointer position, by grid quadrature of the position density."""
+    """Mean pointer position: the lattice sum of q |psi(q)|^2 dq."""
     return _position_moments(state)[1]
 
 
@@ -952,9 +1020,10 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     couplings : sequence of (operator, g, pointer)
         Impulse couplings applied left to right. Each must satisfy the
         weak-regime guard g * max|o| <= delta/10, with delta the pointer's
-        Gaussian-equivalent width sqrt(2 Var Q). That width is read off
-        the samples, so the bound allows a relative round-off of
-        WEAK_GUARD_RTOL (1e-12): g * max|o| = delta/10 is always accepted.
+        Gaussian-equivalent width sqrt(2 Var Q). That width is computed
+        (var_q, once per distinct pointer), so the bound allows a relative
+        round-off of WEAK_GUARD_RTOL (1e-12): g * max|o| = delta/10 is
+        always accepted.
     phi : array_like
         Normalized post-selection state.
 
@@ -986,6 +1055,7 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
 
     gains = []
     pointers = []
+    widths: dict[int, float] = {}  # id(pointer) -> sqrt(2 Var Q)
     cluster_values: list[np.ndarray] = []
     cluster_vecs: list[list[np.ndarray]] = []
     for k, (operator, g, ptr) in enumerate(couplings):
@@ -999,7 +1069,9 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         if not isinstance(ptr, PointerState):
             raise InputError(f"coupling {k}: pointer must be a PointerState")
         bound = float(np.max(np.abs(eig.eigenvalues)))
-        width = sqrt(2.0 * var_q(ptr))
+        if id(ptr) not in widths:
+            widths[id(ptr)] = sqrt(2.0 * var_q(ptr))
+        width = widths[id(ptr)]
         if abs(g) * bound > width / 10.0 * (1.0 + WEAK_GUARD_RTOL):
             raise GridGuardError(
                 f"coupling {k}: g*max|o| = {abs(g) * bound:.6g} exceeds the weak-regime "

@@ -254,6 +254,32 @@ def test_scan_n_trials_reads_probability_as_sample_does(capsys):
     assert run_cli(capsys, "sample", *argv, "--n", "100")[0] == 0
 
 
+def test_scan_n_trials_rows_without_acceptance_are_nan(capsys):
+    # spin-amp/100 accepts with probability 1e-4. Under seed 5 the first
+    # trial accepted is past 100: those prefixes are rows of nan estimates.
+    scenario = resolve("spin-amp/100")
+    code, out, _ = run_cli(capsys, "scan", "--scenario", "spin-amp/100",
+                           "--sweep", "n_trials=10,100,1000,5000", "--seed", "5")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    assert [row[0] for row in rows] == ["10", "100", "1000", "5000"]
+    for row in rows[:2]:
+        assert row[1:5] == ["nan", "nan", "0", "0"]
+    for row, n in zip(rows[2:], (1000, 5000)):
+        report = estimate_weak_value(5, n, scenario)
+        expected = (report.wv_estimate, report.std_error, report.acceptance_rate,
+                    report.n_accepted)
+        assert row[1:5] == [textout.format_value(x) for x in expected]
+        assert report.n_accepted > 0
+    # Under seed 0 the largest prefix accepts nothing either: exit 3, as
+    # sample exits, and no table.
+    code, out, err = run_cli(capsys, "scan", "--scenario", "spin-amp/100",
+                             "--sweep", "n_trials=10,100,1000,5000")
+    assert code == 3
+    assert "no trials accepted out of 5000" in err
+    assert out == ""
+
+
 def test_scan_g_includes_zero(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--scenario", "three-box/C", "--sweep", "g=0,0.05"
@@ -490,16 +516,17 @@ def _counting_fft(monkeypatch, corrupt_ifft=False):
     return calls
 
 
-def test_simulate_makes_one_inverse_fft(tmp_path, capsys, monkeypatch):
-    # The initial pointer is its closed-form spectrum, post-selection makes
-    # the one ifft, and the moments and the fidelity read the held spectrum,
-    # whatever the number of eigenvalue clusters.
+@pytest.mark.skipif(not pointer._EXTENDED, reason="no band moments without a long double")
+def test_simulate_makes_no_fft(tmp_path, capsys, monkeypatch):
+    # The initial pointer is its closed-form spectrum, post-selection works
+    # on its band, and the moments (position ones included) and the fidelity
+    # read the held spectrum, whatever the number of eigenvalue clusters.
     path = dense_scenario_file(tmp_path)  # 4 clusters
-    for scenario in ("three-box/C", path):
+    for argv in (("three-box/C",), (path,), ("spin-amp/100", "--grid-n", str(2**19))):
         calls = _counting_fft(monkeypatch)
-        code, _, _ = run_cli(capsys, "simulate", "--scenario", scenario)
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", *argv)
         assert code == 0
-        assert calls == {"fft": 0, "ifft": 1}
+        assert calls == {"fft": 0, "ifft": 0}
 
 
 def test_simulate_fidelity_matches_closed_form(capsys):
@@ -538,15 +565,23 @@ def test_exit_code_unitarity_guard(capsys, monkeypatch):
 
 
 def test_exit_code_parseval_guard(capsys, monkeypatch):
-    # the post-selected samples no longer match their spectrum's total
-    _counting_fft(monkeypatch, corrupt_ifft=True)
-    code, _, err = run_cli(capsys, "simulate", "--scenario", "three-box/C")
+    # The post-selected samples no longer match their spectrum's total. On
+    # n = 1024 the pointer's band is too wide for the band moments, so the
+    # position moments are read off the samples (one ifft) and the check
+    # compares two different sums; on larger grids both totals are the
+    # band's sum |V|^2 and no ifft is made.
+    scenario = resolve("three-box/C", grid_n=1024)
+    state, _ = scenario.run()
+    assert not pointer._band_path(state.grid, state.spectrum[0])
+    calls = _counting_fft(monkeypatch, corrupt_ifft=True)
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "three-box/C", "--grid-n", "1024")
     assert code == 4
     assert "Parseval" in err
+    assert calls == {"fft": 0, "ifft": 1}
 
 
 def test_simulate_at_grid_cap(capsys):
-    # n = 2^20 took 0.04-0.06 s and a 40 MB tracemalloc peak on a 2-core Xeon
+    # n = 2^20 took ~0.01 s and a 0.1 MB tracemalloc peak on a 2-core Xeon
     cap = pointer.GRID_MAX_N
     tracemalloc.start()
     try:

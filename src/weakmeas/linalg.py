@@ -18,6 +18,7 @@ MAX_TENSOR_DIM = 2**24
 HERMITIAN_TOL = 1e-10
 HERMITIAN_TILE = 256
 DEGENERACY_TOL = 1e-10
+NORMALIZATION_TOL = 1e-10
 PHASE_TOL = 1e-12
 
 
@@ -31,6 +32,19 @@ def as_vector(v) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError("amplitude vector contains NaN or Inf entries")
     return arr
+
+
+def require_state(v, dim: int | None = None, label: str = "system") -> np.ndarray:
+    """Return v as an amplitude vector; raise DimensionMismatchError if its
+    dimension is not ``dim`` (when given) and InputError if its norm departs
+    from 1 by more than NORMALIZATION_TOL."""
+    v = as_vector(v)
+    if dim is not None and v.size != dim:
+        raise DimensionMismatchError(f"{label} state has dimension {v.size}, expected {dim}")
+    defect = abs(np.vdot(v, v).real ** 0.5 - 1.0)
+    if defect > NORMALIZATION_TOL:
+        raise InputError(f"{label} state is not normalized: |norm - 1| = {defect:.3e}")
+    return v
 
 
 def as_operator(m) -> np.ndarray:
@@ -143,10 +157,10 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def clusters(self, tol: float = DEGENERACY_TOL) -> list[tuple[float, np.ndarray]]:
+    def clusters(self) -> list[tuple[float, np.ndarray]]:
         """Group indices of degenerate eigenvalues.
 
-        Consecutive eigenvalues closer than ``tol`` are chained into one
+        Consecutive eigenvalues closer than DEGENERACY_TOL are chained into one
         cluster. Returns ``(value, indices)`` pairs in ascending order,
         where ``value`` is the cluster mean.
         """
@@ -154,7 +168,7 @@ class EigenDecomposition:
         out: list[tuple[float, np.ndarray]] = []
         start = 0
         for k in range(1, values.size + 1):
-            if k == values.size or values[k] - values[k - 1] > tol:
+            if k == values.size or values[k] - values[k - 1] > DEGENERACY_TOL:
                 out.append((float(values[start:k].mean()), np.arange(start, k)))
                 start = k
         return out

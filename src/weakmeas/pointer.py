@@ -35,7 +35,6 @@ from .errors import (
     NumericalGuardError,
     PostSelectionImpossibleError,
 )
-from .twostate import NORMALIZATION_TOL as STATE_NORM_TOL
 
 GRID_MIN_N = 2**8
 GRID_MAX_N = 2**20
@@ -784,15 +783,6 @@ def _translation_kernel(
     return kernel
 
 
-def _require_system_state(psi, dim: int | None = None) -> np.ndarray:
-    psi = linalg.as_vector(psi)
-    if dim is not None and psi.size != dim:
-        raise DimensionMismatchError(f"state dimension {psi.size}, expected {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
-        raise InputError("system state is not normalized")
-    return psi
-
-
 def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
     """Apply the impulse unitary exp(-i g O x P) to psi (x) pointer.
 
@@ -823,7 +813,7 @@ def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
         If the joint norm departs from 1 by more than NORM_TOL.
     """
     eig = linalg.eig_hermitian(operator)
-    psi = _require_system_state(psi, eig.dim)
+    psi = linalg.require_state(psi, eig.dim)
     if not np.isfinite(g):
         raise InputError("coupling strength g must be finite")
     return _couple(psi, pointer, eig, g)
@@ -875,7 +865,7 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     PostSelectionImpossibleError when the probability underflows below
     PROBABILITY_FLOOR.
     """
-    phi = _require_system_state(phi, joint.system_dim)
+    phi = linalg.require_state(phi, joint.system_dim, "post-selected")
     grid, band = joint.grid, joint.band
     values = [value for value, _ in joint.clusters]
     amplitudes = [complex(np.vdot(phi, vec)) for _, vec in joint.clusters]
@@ -1049,8 +1039,8 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     couplings = list(couplings)
     if not couplings:
         raise InputError("sequential_couple needs at least one coupling")
-    psi = _require_system_state(psi)
-    phi = _require_system_state(phi, psi.size)
+    psi = linalg.require_state(psi)
+    phi = linalg.require_state(phi, psi.size, "post-selected")
     dim = psi.size
 
     gains = []

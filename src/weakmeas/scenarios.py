@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pointer, textout, twostate
-from .errors import InputError, ScenarioFormatError
+from .errors import DimensionMismatchError, InputError, ScenarioFormatError
 from .pointer import CouplingConfig, PointerGrid
 
 FORMAT_TAG = "weakmeas-scenario-1"
@@ -44,9 +44,9 @@ class Scenario:
 
     ``weak_value`` may be passed by a builder or a file; construction
     re-derives it from the states and observable and rejects mismatches
-    beyond WEAK_VALUE_RECHECK_TOL (relative). The observable's spectral
-    decomposition is computed on first use and reused by every run and
-    override.
+    beyond WEAK_VALUE_RECHECK_TOL (relative). Construction also diagonalizes
+    the observable, its one Hermitian check; every run and override reuses
+    that decomposition.
     """
 
     name: str
@@ -56,11 +56,9 @@ class Scenario:
     coupling: CouplingConfig
     grid: PointerGrid
     weak_value: complex | None = None
+    eigen: linalg.EigenDecomposition = field(init=False, repr=False, compare=False)
     _tsv: twostate.TwoStateVector = field(init=False, repr=False, compare=False)
     _conditional: tuple | None = field(init=False, repr=False, compare=False, default=None)
-    _eigen: linalg.EigenDecomposition | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.coupling, CouplingConfig):
@@ -71,9 +69,14 @@ class Scenario:
         self.pre = self._tsv.pre
         self.post = self._tsv.post
         self.operator = np.array(self.operator, dtype=complex)
-        # Validates the operator: square, finite, Hermitian, of the states' dimension.
-        derived = twostate.weak_value(self.operator, self._tsv)
+        dim = self.system_dim
+        if self.operator.shape != (dim, dim):
+            raise DimensionMismatchError(
+                f"operator shape {self.operator.shape} does not match states of dimension {dim}"
+            )
+        self.eigen = linalg.eig_hermitian(self.operator)
         self.operator.setflags(write=False)
+        derived = complex(np.vdot(self.post, self.operator @ self.pre)) / self.overlap
         if self.weak_value is None:
             self.weak_value = derived
         else:
@@ -92,16 +95,6 @@ class Scenario:
     @property
     def overlap(self) -> complex:
         return self._tsv.overlap
-
-    def two_state(self) -> twostate.TwoStateVector:
-        return self._tsv
-
-    @property
-    def eigen(self) -> linalg.EigenDecomposition:
-        """Spectral decomposition of the observable."""
-        if self._eigen is None:
-            self._eigen = linalg.eig_hermitian(self.operator)
-        return self._eigen
 
     def initial_pointer(self) -> pointer.PointerState:
         """The width-delta Gaussian pointer, held as its closed-form spectrum."""
@@ -168,8 +161,8 @@ def _three_box_scenario(key: str, diag: tuple[float, ...], weak_value: float) ->
     )
 
 
-# The three-box states and projectors, validated once here; three_box copies
-# them into each build without re-checking these constants.
+# The three-box states and projectors, validated and diagonalized once here;
+# three_box copies them into each build without re-checking these constants.
 _THREE_BOX = {
     key: _three_box_scenario(key, diag, weak_value)
     for key, diag, weak_value in (

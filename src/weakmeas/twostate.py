@@ -17,17 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InputError, OrthogonalSelectionError
+from .errors import DimensionMismatchError, OrthogonalSelectionError
 
-NORMALIZATION_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-12
-
-
-def _require_normalized(v: np.ndarray, label: str) -> np.ndarray:
-    n = np.vdot(v, v).real ** 0.5
-    if abs(n - 1.0) > NORMALIZATION_TOL:
-        raise InputError(f"{label} state is not normalized: |norm - 1| = {abs(n - 1.0):.3e}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -45,14 +37,8 @@ class TwoStateVector:
     overlap: complex = field(init=False)
 
     def __post_init__(self) -> None:
-        pre = linalg.as_vector(self.pre).copy()
-        post = linalg.as_vector(self.post).copy()
-        if pre.shape != post.shape:
-            raise DimensionMismatchError(
-                f"pre and post dimensions differ: {pre.size} vs {post.size}"
-            )
-        _require_normalized(pre, "pre-selected")
-        _require_normalized(post, "post-selected")
+        pre = linalg.require_state(self.pre, label="pre-selected").copy()
+        post = linalg.require_state(self.post, pre.size, "post-selected").copy()
         overlap = complex(np.vdot(post, pre))
         if abs(overlap) <= ORTHOGONALITY_TOL:
             raise OrthogonalSelectionError(
@@ -90,20 +76,13 @@ def weak_value(operator, tsv: TwoStateVector) -> complex:
         raise DimensionMismatchError(
             f"operator dimension {op.shape[0]} does not match states of dimension {tsv.dim}"
         )
-    if abs(tsv.overlap) <= ORTHOGONALITY_TOL:
-        raise OrthogonalSelectionError("weak value undefined for orthogonal selection")
     return complex(np.vdot(tsv.post, op @ tsv.pre)) / tsv.overlap
 
 
 def expectation(operator, psi) -> float:
     """Ordinary expectation value <psi|operator|psi> for a normalized state."""
     op = linalg.require_hermitian(operator)
-    psi = linalg.as_vector(psi)
-    if op.shape[0] != psi.size:
-        raise DimensionMismatchError(
-            f"operator dimension {op.shape[0]} does not match state dimension {psi.size}"
-        )
-    _require_normalized(psi, "input")
+    psi = linalg.require_state(psi, op.shape[0], "input")
     value = complex(np.vdot(psi, op @ psi))
     return float(value.real)
 
@@ -117,12 +96,7 @@ def eigen_probabilities(operator, psi) -> list[tuple[float, float]]:
     probabilities sum to 1.
     """
     eig = linalg.eig_hermitian(operator)
-    psi = linalg.as_vector(psi)
-    if eig.dim != psi.size:
-        raise DimensionMismatchError(
-            f"operator dimension {eig.dim} does not match state dimension {psi.size}"
-        )
-    _require_normalized(psi, "input")
+    psi = linalg.require_state(psi, eig.dim, "input")
     amplitudes = eig.eigenvectors.conj().T @ psi
     weights = np.abs(amplitudes) ** 2
     return [(value, float(weights[idx].sum())) for value, idx in eig.clusters()]

@@ -15,7 +15,7 @@ from weakmeas import (
     serialize_scenario,
     three_box,
 )
-from weakmeas import linalg, pointer, resolve, textout
+from weakmeas import cli, linalg, pointer, resolve, textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import SweepSpecError
 
@@ -382,23 +382,58 @@ def test_exit_code_convergence(tmp_path, capsys, monkeypatch):
 
 
 def test_dense_scenario_diagonalized_once_per_command(tmp_path, capsys, monkeypatch):
+    # Each command scans its observable for Hermiticity once, when the
+    # scenario is built; diagonal observables never reach eigh.
     path = dense_scenario_file(tmp_path)
-    calls = []
+    eigh_calls, scans = [], []
     eigh = np.linalg.eigh
+    require_hermitian = linalg.require_hermitian
 
     def counting_eigh(m):
-        calls.append(m.shape)
+        eigh_calls.append(m.shape)
         return eigh(m)
 
+    def counting_require_hermitian(m, *args, **kwargs):
+        scans.append(np.shape(m))
+        return require_hermitian(m, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for argv in (
-        ["scan", "--scenario", path, "--sweep", "delta=0.5,1,2,3"],
-        ["simulate", "--scenario", path, "--g", "0.02"],
+    monkeypatch.setattr(linalg, "require_hermitian", counting_require_hermitian)
+    for argv, dim, diagonalized in (
+        (["scan", "--scenario", path, "--sweep", "delta=0.5,1,2,3"], 4, [(4, 4)]),
+        (["simulate", "--scenario", path, "--g", "0.02"], 4, [(4, 4)]),
+        (["simulate", "--scenario", "ensemble/8x5"], 256, []),
+        (["weak-value", "--scenario", "spin-amp/100"], 2, []),
     ):
-        calls.clear()
+        eigh_calls.clear()
+        scans.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert calls == [(4, 4)]
+        assert eigh_calls == diagonalized
+        assert scans == [(dim, dim)]
+
+
+def test_parser_is_built_once_and_survives_an_argparse_error(capsys):
+    argv = ["simulate", "--scenario", "three-box/C"]
+    lone = subprocess.run(
+        [sys.executable, "-m", "weakmeas.cli", *argv], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert lone.returncode == 0
+    assert run_cli(capsys, "simulate", "--scenario", "three-box/C", "--grid-n", "many")[0] == 2
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == lone.stdout
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_scan_has_no_trial_count_option(capsys):
+    # n_trials sweeps take their counts from --sweep.
+    code, _, err = run_cli(
+        capsys, "scan", "--scenario", "three-box/C", "--sweep", "n_trials=10", "--n", "5"
+    )
+    assert code == 2
+    assert "--n" in err
 
 
 def test_exit_code_zero_accepted(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_cluster_chaining_merges_near_ties():
         eigenvalues=np.array([0.0, 0.4e-10, 1.0]),
         eigenvectors=np.eye(3, dtype=complex),
     )
-    clusters = eig.clusters(tol=1e-10)
+    clusters = eig.clusters()
     assert [len(idx) for _, idx in clusters] == [2, 1]
 
 

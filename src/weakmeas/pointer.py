@@ -698,6 +698,12 @@ class JointState:
     distinct eigenvalue cluster, the pair (eigenvalue, projection of the
     system state onto the eigenspace). Clusters with different eigenvalues
     are orthogonal in the system factor.
+
+    With ``copies`` > 1 the system is that many independent copies of one
+    system, coupled with strength g through their mean observable
+    (1/copies) sum_k O^(k). The state is held in product form for
+    post_select, which selects every copy on the same state: the basis,
+    clusters and system_dim are one copy's, and so are the branches.
     """
 
     grid: PointerGrid
@@ -706,6 +712,7 @@ class JointState:
     band: slice
     spectrum: np.ndarray
     clusters: tuple[tuple[float, np.ndarray], ...]
+    copies: int = 1
 
     @property
     def system_dim(self) -> int:
@@ -820,9 +827,13 @@ def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
 
 
 def _couple(
-    psi: np.ndarray, pointer: PointerState, eig: linalg.EigenDecomposition, g: float
+    psi: np.ndarray, pointer: PointerState, eig: linalg.EigenDecomposition, g: float,
+    copies: int = 1,
 ) -> JointState:
-    """couple() on a validated state, decomposition and coupling strength."""
+    """couple() on a validated state, decomposition and coupling strength;
+    ``copies`` > 1 couples that many copies of psi through their mean
+    observable (see JointState). The mean observable's eigenvalues span
+    one copy's range, so the wrap-around guard reads the same."""
     grid = pointer.grid
     max_shift = abs(g) * float(np.max(np.abs(eig.eigenvalues)))
     if max_shift > 0.25 * grid.extent:
@@ -846,7 +857,7 @@ def _couple(
         raise NumericalGuardError(f"coupling broke unitarity: norm defect {defect:.3e}")
     return JointState(
         grid=grid, basis=eig, g=float(g), band=band, spectrum=spectrum,
-        clusters=tuple(clusters),
+        clusters=tuple(clusters), copies=copies,
     )
 
 
@@ -857,7 +868,11 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     translated by g*o_k. Its spectrum is the initial spectrum times the
     summed translation phases, formed on the initial spectrum's band only;
     the state holds it and takes its samples with one inverse FFT when they
-    are read.
+    are read. For a joint state of several copies, each copy shifts the
+    pointer by g*o_k/copies and the copies' phases multiply: the summed
+    phases are one copy's, at strength g/copies, raised to the power copies.
+    The mean observable's branch amplitudes, which alternate in sign and
+    cancel, are never formed.
 
     Returns the conditional pointer state and the post-selection
     probability (the squared norm of the unnormalized conditional
@@ -869,7 +884,8 @@ def post_select(joint: JointState, phi) -> tuple[PointerState, float]:
     grid, band = joint.grid, joint.band
     values = [value for value, _ in joint.clusters]
     amplitudes = [complex(np.vdot(phi, vec)) for _, vec in joint.clusters]
-    spectrum = _translation_kernel(grid, joint.g, values, amplitudes, band)
+    spectrum = _translation_kernel(grid, joint.g / joint.copies, values, amplitudes, band)
+    spectrum **= joint.copies
     spectrum *= joint.spectrum
     probability = _checked_probability(
         float(np.vdot(spectrum, spectrum).real) * grid.spacing / grid.n

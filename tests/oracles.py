@@ -16,6 +16,7 @@ oracle's independence rests on the closed-form Gaussian moments.
 """
 
 from decimal import Decimal, localcontext
+from math import ceil, comb, log10
 
 import numpy as np
 
@@ -172,6 +173,50 @@ def gaussian_fidelity(amplitudes, shifts, reference_shift, delta, digits=50):
             for (br, bi), sl in zip(amps, s)
         )
         return float((num_re**2 + num_im**2) / norm)
+
+
+def ensemble_closed_form(n_spins, target, g, delta):
+    """Exact probability, <Q> and Var Q of ensemble/<n>x<target>, and its
+    branch amplitudes and shifts as doubles.
+
+    Each spin is prepared in (1, 1)/sqrt(2) and selected on the bra
+    proportional to (1 + t, 1 - t), so the branch with k spins down has
+    amplitude C(n, k) alpha^(n-k) beta^k, with alpha = (1 + t)/(2 sqrt(1 +
+    t^2)) and beta = (1 - t)/(2 sqrt(1 + t^2)), and shifts the pointer by
+    s_k = g (n - 2k)/n. The amplitudes alternate in sign for |t| > 1: their
+    unsigned sum exceeds the signed one by kappa = ((|1 + t| + |1 - t|)/2)^n,
+    and the quadratic forms below by up to kappa^2. So the sums run in
+    2 log10(kappa) + 30 decimal digits, from the exact values of the double
+    inputs; the overlaps E_kl depend on |k - l| only and are formed once
+    per distance.
+    """
+    n = int(n_spins)
+    digits = 30 + 2 * ceil(n * log10(max(1.0, (abs(1 + target) + abs(1 - target)) / 2)))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        t, g, d2 = Decimal(float(target)), Decimal(float(g)), Decimal(float(delta)) ** 2
+        up, down = 1 + t, 1 - t
+        # x**0 is taken as 1 (Decimal refuses 0**0, at t = +-1)
+        amps = [comb(n, k) * (up ** (n - k) if k < n else 1) * (down**k if k else 1)
+                for k in range(n + 1)]
+        overlaps = [(-((g * d / n) ** 2) / d2).exp() for d in range(n + 1)]
+        norm = first = second = Decimal(0)
+        for k, ak in enumerate(amps):
+            for l in range(k, n + 1):
+                weight = ak * amps[l] * overlaps[l - k] * (2 if l > k else 1)
+                mid = g * (n - k - l) / n
+                norm += weight
+                first += weight * mid
+                second += weight * (mid * mid + d2 / 2)
+        scale = (4 * (1 + t * t)) ** n
+        mean = first / norm
+        return {
+            "probability": float(norm / scale),
+            "mean_q": float(mean),
+            "var_q": float(second / norm - mean * mean),
+            "amplitudes": np.array([float(a / scale.sqrt()) for a in amps]),
+            "shifts": np.array([float(g * (n - 2 * k) / n) for k in range(n + 1)]),
+        }
 
 
 def exact_position_moments(amplitudes, shifts, delta, digits=50):

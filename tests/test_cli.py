@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 import time
@@ -15,11 +16,17 @@ from weakmeas import (
     serialize_scenario,
     three_box,
 )
-from weakmeas import cli, linalg, pointer, resolve, textout
+from weakmeas import cli, linalg, pointer, resolve, scenarios, textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
-from weakmeas.errors import SweepSpecError
+from weakmeas.errors import DimensionMismatchError, SweepSpecError
 
-from oracles import eigen_clusters, gaussian_fidelity, random_hermitian, random_state
+from oracles import (
+    eigen_clusters,
+    ensemble_closed_form,
+    gaussian_fidelity,
+    random_hermitian,
+    random_state,
+)
 
 
 def run_cli(capsys, *argv):
@@ -402,7 +409,7 @@ def test_dense_scenario_diagonalized_once_per_command(tmp_path, capsys, monkeypa
     for argv, dim, diagonalized in (
         (["scan", "--scenario", path, "--sweep", "delta=0.5,1,2,3"], 4, [(4, 4)]),
         (["simulate", "--scenario", path, "--g", "0.02"], 4, [(4, 4)]),
-        (["simulate", "--scenario", "ensemble/8x5"], 256, []),
+        (["simulate", "--scenario", "ensemble/8x5"], 2, []),
         (["weak-value", "--scenario", "spin-amp/100"], 2, []),
     ):
         eigh_calls.clear()
@@ -566,7 +573,9 @@ def test_simulate_makes_no_fft(tmp_path, capsys, monkeypatch):
 
 def test_simulate_fidelity_matches_closed_form(capsys):
     # ensemble/8x5 cancels to a probability of 8e-12; the oracle sums in
-    # decimals, so it holds there too.
+    # decimals, so it holds there too. Its nine branches come from the
+    # binomial closed form: the scenario holds one spin, not the 256-dim
+    # average operator.
     for ref, grid_n in (("spin-amp/100", 2**19), ("spin-amp/1j", 2**19),
                         ("three-box/C", 2**19), ("ensemble/8x5", None)):
         argv = ["simulate", "--scenario", ref]
@@ -576,12 +585,99 @@ def test_simulate_fidelity_matches_closed_form(capsys):
         assert code == 0
         scenario = resolve(ref, grid_n=grid_n)
         g, delta = scenario.coupling.g, scenario.coupling.delta
-        amplitudes, shifts = [], []
-        for value, block in eigen_clusters(scenario.operator):
-            amplitudes.append(np.vdot(scenario.post, block @ (block.conj().T @ scenario.pre)))
-            shifts.append(g * value)
+        if scenario.copies > 1:
+            exact = ensemble_closed_form(scenario.copies, scenario.weak_value.real, g, delta)
+            amplitudes, shifts = exact["amplitudes"], exact["shifts"]
+        else:
+            amplitudes, shifts = [], []
+            for value, block in eigen_clusters(scenario.operator):
+                amplitudes.append(
+                    np.vdot(scenario.post, block @ (block.conj().T @ scenario.pre))
+                )
+                shifts.append(g * value)
         want = gaussian_fidelity(amplitudes, shifts, g * scenario.weak_value.real, delta)
         assert abs(float(parse_keyvalues(out)["gaussian_fidelity"]) - want) <= 1e-10
+
+
+def test_simulate_ensemble_matches_the_exact_product_form(capsys):
+    # The n + 1 branch amplitudes alternate in sign and cancel to 1e-17 of
+    # their size at 12x5; the program never sums them, it raises one spin's
+    # kernel to the power n. At the cap the target is 0.5: ensemble/<cap>x5
+    # has probability 26^-cap, below PROBABILITY_FLOOR (exit 3).
+    cap = scenarios.MAX_ENSEMBLE_SPINS
+    for n, target in ((8, 5.0), (12, 5.0), (40, 5.0), (cap, 0.5), (cap, -1.2)):
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", f"ensemble/{n}x{target}")
+        assert code == 0
+        got = parse_keyvalues(out)
+        want = ensemble_closed_form(n, target, 0.5, 1.0)
+        assert float(got["weak_value_re"]) == target
+        prob = float(got["probability"])
+        assert abs(prob - want["probability"]) <= 1e-12 * want["probability"]
+        assert abs(float(got["mean_Q"]) - want["mean_q"]) <= 1e-12 * 1.0
+        assert abs(float(got["var_Q"]) - want["var_q"]) <= 1e-12 * want["var_q"]
+    code, _, err = run_cli(capsys, "simulate", "--scenario", f"ensemble/{cap}x5")
+    assert code == 3
+    assert "underflows" in err
+
+
+@pytest.mark.parametrize("n_spins,target", [(12, 5), (scenarios.MAX_ENSEMBLE_SPINS, 0.5)])
+def test_ensemble_spin_cap_within_budget(tmp_path, capsys, n_spins, target):
+    # No 2^n-dim state or operator is built: at 12 spins the dense operator
+    # alone was 256 MB. Under tracemalloc, with --out: ~0.3 s and a 2.5 MB
+    # peak at either count on a 2-core Xeon, and a 290-byte scenario.txt.
+    ref = f"ensemble/{n_spins}x{target}"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        scenario = resolve(ref)
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", ref, "--out", str(tmp_path))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert scenario.system_dim == 2**n_spins
+    assert elapsed < 10.0
+    assert peak < 8 * 2**20
+    assert (tmp_path / "scenario.txt").stat().st_size < 1024
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", f"ensemble/{scenarios.MAX_ENSEMBLE_SPINS + 1}x0.5"
+    )
+    assert code == 2
+    assert str(scenarios.MAX_ENSEMBLE_SPINS) in err
+
+
+def test_dense_operator_cap_within_budget(tmp_path, capsys):
+    # At MAX_DIM = 512, simulate --out on a dense scenario file took ~3.1 s
+    # at 123 MB peak RSS on a 2-core Xeon, most of it writing and parsing
+    # the 2.6e5 operator entries as text; dim 1024 took 12.2 s.
+    cap = linalg.MAX_DIM
+    rng = np.random.default_rng(11)
+    operator = random_hermitian(rng, cap)
+    operator /= np.max(np.abs(np.linalg.eigvalsh(operator)))
+    pre = random_state(rng, cap)
+    post = random_state(rng, cap)
+    path = tmp_path / "dense.scenario"
+    save_scenario(Scenario(
+        name="dense-cap", pre=pre, post=post, operator=operator,
+        coupling=CouplingConfig(g=0.1, delta=1.0), grid=default_grid(1.0, 0.1),
+    ), path)
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / "out"))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 10.0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 2 * 2**20  # KiB
+    above = np.zeros((cap + 1, cap + 1), dtype=complex)
+    with pytest.raises(DimensionMismatchError, match="cap"):
+        linalg.eig_hermitian(above)
+    with pytest.raises(DimensionMismatchError, match="cap"):
+        Scenario(
+            name="dense-above-cap", pre=np.eye(cap + 1)[0], post=np.eye(cap + 1)[0],
+            operator=above, coupling=CouplingConfig(g=0.1, delta=1.0),
+            grid=default_grid(1.0, 0.1),
+        )
 
 
 def test_exit_code_unitarity_guard(capsys, monkeypatch):

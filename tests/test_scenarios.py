@@ -17,7 +17,7 @@ from weakmeas import (
     with_overrides,
 )
 from weakmeas.errors import InputError, ScenarioFormatError
-from weakmeas.scenarios import MAX_TARGET
+from weakmeas.scenarios import MAX_ENSEMBLE_SPINS, MAX_TARGET
 
 
 def test_three_box_weak_values():
@@ -110,7 +110,8 @@ def test_ensemble_average_guards():
     with pytest.raises(InputError):
         ensemble_average(1, 5)
     with pytest.raises(InputError):
-        ensemble_average(13, 5)
+        ensemble_average(MAX_ENSEMBLE_SPINS + 1, 5)
+    assert ensemble_average(MAX_ENSEMBLE_SPINS, 5).copies == MAX_ENSEMBLE_SPINS
 
 
 def test_default_delta_tracks_g():
@@ -119,7 +120,9 @@ def test_default_delta_tracks_g():
 
 
 def test_serialize_round_trip_all_families():
-    for sc in (three_box("C"), spin_amplification(2.5 - 3.0j), ensemble_average(3, 4)):
+    families = (three_box("C"), spin_amplification(2.5 - 3.0j), ensemble_average(3, 4),
+                ensemble_average(40, 5))
+    for sc in families:
         doc = serialize_scenario(sc)
         back = parse_scenario(doc)
         assert back.fingerprint() == sc.fingerprint()
@@ -130,6 +133,14 @@ def test_serialize_round_trip_all_families():
         assert np.allclose(back.operator, sc.operator)
         assert back.grid == sc.grid
         assert back.coupling == sc.coupling
+        assert back.copies == sc.copies
+        assert ("copies = " in doc) == (sc.copies > 1)
+    # An ensemble is written as one spin and its count, whatever the count.
+    doc = serialize_scenario(families[-1])
+    assert len(doc.encode("utf-8")) < 1024
+    for bad in ("0", "-3", "2.5", "forty"):
+        with pytest.raises(ScenarioFormatError, match="copies|scalars"):
+            parse_scenario(doc.replace("copies = 40", f"copies = {bad}"))
 
 
 def test_save_and_load(tmp_path):
@@ -233,5 +244,5 @@ def test_amplification_acceptance_decreases_with_target():
 def test_ensemble_unit_target_overlap():
     sc = ensemble_average(5, 1.0)
     assert sc.weak_value == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    overlap = abs(np.vdot(sc.post, sc.pre))
+    overlap = abs(sc.overlap)
     assert overlap == pytest.approx((1.0 / np.sqrt(2.0)) ** 5, rel=1e-12)

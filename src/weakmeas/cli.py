@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, montecarlo, pointer, textout
 from .errors import InputError, NumericalGuardError, PhysicsUndefinedError, SweepSpecError
-from .scenarios import Scenario, resolve, serialize_scenario, with_overrides
+from .scenarios import Scenario, document_fingerprint, resolve, serialize_scenario, with_overrides
 
 SWEEP_PARAMETERS = ("g", "delta", "n_trials")
 
@@ -176,13 +176,20 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     )
 
 
-def _header(scenario: Scenario, command: str, extras: dict | None = None) -> dict:
+def _header(
+    scenario: Scenario, command: str, extras: dict | None = None, document: str | None = None
+) -> dict:
+    """Header fields of a command's output files. A caller that writes the
+    scenario's serialization too passes it as ``document``, so that the
+    scenario is serialized once."""
+    if document is None:
+        document = serialize_scenario(scenario)
     header = {
         "tool": "weakmeas",
         "version": __version__,
         "command": command,
         "scenario": scenario.name,
-        "scenario_sha256": scenario.fingerprint(),
+        "scenario_sha256": document_fingerprint(document),
         "system_dim": scenario.system_dim,
         "g": scenario.coupling.g,
         "delta": scenario.coupling.delta,
@@ -259,7 +266,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         outdir = _ensure_outdir(args.out)
         state, _ = scenario.run()
-        header = _header(scenario, "simulate")
+        document = serialize_scenario(scenario)
+        header = _header(scenario, "simulate", document=document)
         ext = args.format
         sep = _delimiter(args)
         pointer.write_position_density(
@@ -273,7 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         textout.write_keyvalues(os.path.join(outdir, "summary.txt"), summary, header)
         with open(os.path.join(outdir, "scenario.txt"), "w", encoding="utf-8") as fh:
-            fh.write(serialize_scenario(scenario))
+            fh.write(document)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from .errors import ConvergenceError, DimensionMismatchError, InputError, NonHer
 # in ~3 s and 123 MB on a 2-core Xeon (10 s / 2 GB budget); at 1024 it took
 # 12 s, mostly parsing and writing the operator as text.
 MAX_DIM = 512
-MAX_TENSOR_DIM = 2**24
 
 HERMITIAN_TOL = 1e-10
 HERMITIAN_TILE = 256
@@ -124,7 +123,9 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two vectors or of two operators.
 
     For vectors, entry (i * dim(b) + j) = a_i * b_j; for square operators,
-    block (i, j) = a_ij * b.
+    block (i, j) = a_ij * b. The product's dimension dim(a) * dim(b) is
+    capped at MAX_DIM, as every operator's is, and checked before it is
+    built.
     """
     first = np.asarray(a, dtype=complex)
     second = np.asarray(b, dtype=complex)
@@ -137,9 +138,10 @@ def tensor_product(a, b) -> np.ndarray:
         first, second = as_vector(first), as_vector(second)
     else:
         first, second = as_operator(first), as_operator(second)
-    if first.size * second.size > MAX_TENSOR_DIM:
+    dim = first.shape[0] * second.shape[0]
+    if dim > MAX_DIM:
         raise DimensionMismatchError(
-            f"tensor product size {first.size * second.size} exceeds the cap {MAX_TENSOR_DIM}"
+            f"tensor product dimension {dim} exceeds the supported cap {MAX_DIM}"
         )
     return np.kron(first, second)
 

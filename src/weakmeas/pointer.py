@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import cos, exp, floor, frexp, ldexp, log, pi, prod, sqrt
+from math import cos, exp, floor, frexp, ldexp, log, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -45,16 +45,9 @@ LEAKAGE_TOL = 1e-6
 PROBABILITY_FLOOR = 1e-300
 # Relative round-off allowed in sequential_couple's weak-regime guard.
 WEAK_GUARD_RTOL = 1e-12
-# 4^11: K = 11 dense dim-4 couplings finish in ~2 s under 0.5 GB (README).
-SEQUENTIAL_INDEX_CAP = 2**22
-# Caps on _sequential_cost, set from the same 10 s / 2 GB budget (README).
+# Caps on _sequential_cost, set from a 10 s / 2 GB budget (README).
 SEQUENTIAL_WORK_CAP = 2**34
 SEQUENTIAL_HELD_CAP = 2**26
-# Mode products whose trailing block (m * right entries) is at most this wide
-# run as one GEMM against matrix (x) identity instead of one tiny matmul per
-# block. K = 22 dim-2 couplings at the index cap take ~4 s this way and ~8 s
-# with a matmul per block; any width from 16 to 128 does as well as 32.
-_GEMM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -919,35 +912,6 @@ def _translated_spectra(
                      for value in values])
 
 
-def _mode_product(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
-    """out[..j..] = sum_i matrix[j, i] * tensor[..i..] on ``axis`` (a new array)."""
-    m, right = tensor.shape[axis], prod(tensor.shape[axis + 1 :])
-    if right == 1 or m * right <= _GEMM_BLOCK:
-        out = tensor.reshape(-1, m * right) @ np.kron(matrix, np.eye(right)).T
-    else:
-        out = np.matmul(matrix, tensor.reshape(-1, m, right))
-    return out.reshape(tensor.shape)
-
-
-def _open_mode_gram(tensor: np.ndarray, other: np.ndarray, axis: int) -> np.ndarray:
-    """W[i, j] = sum over every index but ``axis`` of tensor[..i..] * other[..j..]."""
-    m, right = tensor.shape[axis], prod(tensor.shape[axis + 1 :])
-    if right == 1 or m * right <= _GEMM_BLOCK:
-        block = m * right
-        gram = tensor.reshape(-1, block).T @ other.reshape(-1, block)
-        return np.trace(gram.reshape(m, right, m, right), axis1=1, axis2=3)
-    tensor3 = tensor.reshape(-1, m, right)
-    other3 = other.reshape(-1, m, right).transpose(0, 2, 1)
-    # One (m, m) product per leading index; chunked so the stack of products
-    # never outgrows the tensor itself.
-    step = max(1, tensor.size // (m * m))
-    weights = np.zeros((m, m), dtype=complex)
-    for start in range(0, tensor3.shape[0], step):
-        stop = start + step
-        weights += np.matmul(tensor3[start:stop], other3[start:stop]).sum(axis=0)
-    return weights
-
-
 def _mixed_density(weights: np.ndarray, packets: np.ndarray) -> np.ndarray:
     """sum_(i,j) W[i, j] f_i conj(f_j) for the rows f of ``packets`` (real)."""
     mixed = weights.T @ packets
@@ -955,62 +919,70 @@ def _mixed_density(weights: np.ndarray, packets: np.ndarray) -> np.ndarray:
     return mixed.real.sum(axis=0)
 
 
-def _marginal_weights(amplitudes: np.ndarray, overlaps: list[np.ndarray]) -> list[np.ndarray]:
-    """Reduced branch weights W_k[i_k, j_k] of every mode k.
-
-    W_k = sum over all other indices of A[i] conj(A[j]) prod_(l != k)
-    S_l[j_l, i_l]: A with every overlap but S_k applied, one mode at a time,
-    then contracted with conj(A) on all axes but k. Modes are applied by
-    halving: the left half's products serve every right-half marginal and
-    the reverse, so K marginals take about K log2 K mode products, not K^2.
-    """
-    if amplitudes.ndim == 1:
-        return [np.outer(amplitudes, amplitudes.conj())]
-    return _weights_of_modes(amplitudes, amplitudes, overlaps, 0, amplitudes.ndim)
+def _spread(matrix: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """C M C^T for the cluster indicator C: entry (a, b) is M[c(a), c(b)],
+    with c(a) the cluster of eigenvector a and clusters of ``sizes``
+    consecutive eigenvectors."""
+    return np.repeat(np.repeat(matrix, sizes, axis=0), sizes, axis=1)
 
 
-def _weights_of_modes(
-    tensor: np.ndarray, amplitudes: np.ndarray, overlaps: list[np.ndarray], lo: int, hi: int
+def _block_sums(matrix: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """C^T M C: the sum of each block of M over a pair of clusters."""
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(np.add.reduceat(matrix, starts, axis=0), starts, axis=1)
+
+
+def _branch_weights(
+    psi: np.ndarray, phi: np.ndarray, bases: list[tuple[np.ndarray, list[int]]],
+    overlaps: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """W_lo .. W_(hi-1), from A with every overlap applied but those of lo..hi-1."""
-    if hi - lo == 1:
-        # W = conj(sum conj(tensor) A). ``tensor`` is a fresh product that
-        # nothing reads after this, so it is conjugated in place rather than
-        # keeping a conjugate copy of A alive.
-        np.conjugate(tensor, out=tensor)
-        return [_open_mode_gram(tensor, amplitudes, lo).conj()]
-    mid = (lo + hi) // 2
+    """Reduced branch weights W_k[i, j] of every coupling k, by a forward
+    and a backward sweep of dim x dim matrices.
+
+    Coupling l acts on the system as the channel E_l(rho) = sum_(i,j)
+    S_l[j, i] P_i rho P_j, and the couplings after it act on the
+    post-selection as the dual maps D_l(Phi) = sum_(i,j) S_l[j, i] P_j Phi
+    P_i. In the eigenbasis V_l of coupling l (``bases``: eigenvectors and
+    cluster sizes) each is a Schur product, with C_l S_l^T C_l^T and
+    C_l S_l C_l^T (_spread). Pointer k reads the system state rho_k =
+    E_(k-1)(... E_1(|psi><psi|)) against the effect Phi_k = D_(k+1)(...
+    D_K(|phi><phi|)), both rotated into its eigenbasis:
+
+        W_k = C_k^T ((V_k^dag rho_k V_k) o (V_k^dag Phi_k V_k)^T) C_k.
+
+    Both sweeps stay in the eigenbases and pass between consecutive ones
+    through U_l = V_(l+1)^dag V_l.
+    """
+    changes = [after.conj().T @ vecs for (vecs, _), (after, _) in zip(bases, bases[1:])]
+    amplitudes = bases[0][0].conj().T @ psi
+    states = [np.outer(amplitudes, amplitudes.conj())]
+    for (_, sizes), overlap, change in zip(bases, overlaps, changes):
+        states.append(change @ (_spread(overlap.T, sizes) * states[-1]) @ change.conj().T)
+    amplitudes = bases[-1][0].conj().T @ phi
+    effect = np.outer(amplitudes, amplitudes.conj())
     weights = []
-    for keep, apply in (((lo, mid), range(mid, hi)), ((mid, hi), range(lo, mid))):
-        part = tensor
-        for axis in apply:
-            part = _mode_product(part, axis, overlaps[axis])
-        weights += _weights_of_modes(part, amplitudes, overlaps, *keep)
-    return weights
+    for k in reversed(range(len(bases))):
+        if k < len(changes):
+            spread = _spread(overlaps[k + 1], bases[k + 1][1])
+            effect = changes[k].conj().T @ (spread * effect) @ changes[k]
+        weights.append(_block_sums(states[k] * effect.T, bases[k][1]))
+    return weights[::-1]
 
 
 def _sequential_cost(dim: int, counts: list[int], sizes: list[int]) -> tuple[int, int]:
     """Estimated (complex multiply-adds, complex numbers held at the peak).
 
-    Amplitudes: each projecting stage costs 2 dim^2 per incoming system
-    vector and holds its outgoing vectors twice (the per-cluster pieces and
-    their stack); the overlap with phi costs dim per entry. Contraction:
-    about log2(K) + 1 passes of N * sum(m_k), holding log2(K) + 2 tensors of
-    N entries. Pointers: m_k^2 * n_k for the overlap matrix and for each of
-    the two densities, plus 32 log2(n_k) per spectrum entry for the FFTs and
-    elementwise passes (as timed against the GEMMs); every spectrum stays
-    alive, and one coupling at a time adds three more arrays of its size.
+    System (_branch_weights): per coupling one change of basis and two
+    dim x dim products in each sweep, 5 dim^3, holding the eigenvectors,
+    the change of basis and the rotated state, 3 dim^2. Pointers: m_k^2 *
+    n_k for the overlap matrix and for each of the two densities, plus
+    32 log2(n_k) per spectrum entry for the FFTs and elementwise passes (as
+    timed against matrix products); every spectrum stays alive, and one
+    coupling at a time adds three more arrays of its size.
     """
-    total = prod(counts)
-    depth = (len(counts) - 1).bit_length()  # ceil(log2 K)
-    rows = 1
-    work = 0
-    for m in counts[:-1]:
-        work += 2 * rows * dim * dim
-        rows *= m
-    work += total * dim + total * sum(counts) * (depth + 1)
+    work = 5 * len(counts) * dim**3
     work += sum(m * n * (3 * m + 32 * (n.bit_length() - 1)) for m, n in zip(counts, sizes))
-    held = max(2 * rows * dim + total, total * (depth + 2))
+    held = 3 * len(counts) * dim * dim
     held += sum(m * n + m * m for m, n in zip(counts, sizes))
     held += 3 * max(m * n for m, n in zip(counts, sizes))
     return work, held
@@ -1043,14 +1015,15 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
 
     Notes
     -----
-    The joint state is expanded over eigenvalue-cluster branch sequences;
-    the branch index space N (product of the cluster counts m_k) is capped
-    at SEQUENTIAL_INDEX_CAP. The branch-weight contraction applies one
-    overlap matrix per mode, about N * sum(m_k) * log2(K) complex
-    multiply-adds in all. The estimated work and peak memory of the whole
-    call (_sequential_cost) are capped at SEQUENTIAL_WORK_CAP and
-    SEQUENTIAL_HELD_CAP. All three caps raise DimensionMismatchError before
-    the amplitude tensor is built. Pointer grids are never tensored together.
+    Pointer k's readout depends on the other couplings only through their
+    pointer overlaps S_l, so the couplings before it fold into one system
+    density matrix and those after it into one effect operator
+    (_branch_weights). The system side costs about 5 K dim^3 complex
+    multiply-adds, however many branch sequences the K couplings open. The
+    estimated work and peak memory of the whole call (_sequential_cost) are
+    capped at SEQUENTIAL_WORK_CAP and SEQUENTIAL_HELD_CAP; both caps raise
+    DimensionMismatchError before any pointer spectrum is built. Pointer
+    grids are never tensored together.
     """
     couplings = list(couplings)
     if not couplings:
@@ -1063,7 +1036,7 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     pointers = []
     widths: dict[int, float] = {}  # id(pointer) -> sqrt(2 Var Q)
     cluster_values: list[np.ndarray] = []
-    cluster_vecs: list[list[np.ndarray]] = []
+    bases: list[tuple[np.ndarray, list[int]]] = []
     for k, (operator, g, ptr) in enumerate(couplings):
         eig = linalg.eig_hermitian(operator)
         if eig.dim != dim:
@@ -1089,14 +1062,9 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         gains.append(float(g))
         pointers.append(ptr)
         cluster_values.append(np.array([value for value, _ in clusters]))
-        cluster_vecs.append([eig.eigenvectors[:, idx] for _, idx in clusters])
+        bases.append((eig.eigenvectors, [idx.size for _, idx in clusters]))
 
     counts = [values.size for values in cluster_values]
-    total_indices = prod(counts)
-    if total_indices > SEQUENTIAL_INDEX_CAP:
-        raise DimensionMismatchError(
-            f"branch index space {total_indices} exceeds the cap {SEQUENTIAL_INDEX_CAP}"
-        )
     work, held = _sequential_cost(dim, counts, [ptr.grid.n for ptr in pointers])
     if work > SEQUENTIAL_WORK_CAP:
         raise DimensionMismatchError(
@@ -1109,17 +1077,6 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
             f"{SEQUENTIAL_HELD_CAP:.3g}"
         )
 
-    # Amplitude tensor over branch sequences: A[i_1..i_K] = <phi| P_K ... P_1 |psi>.
-    # Rows of ``vectors`` are the system vectors P_l ... P_1 psi over the index
-    # prefix i_1..i_l; the last projection is folded into the overlap with phi.
-    vectors = psi[None, :]
-    for vecs_k in cluster_vecs[:-1]:
-        vectors = np.stack([(vectors @ vk.conj()) @ vk.T for vk in vecs_k], axis=1)
-        vectors = vectors.reshape(-1, dim)
-    selected = np.stack([vk @ (vk.conj().T @ phi) for vk in cluster_vecs[-1]], axis=1)
-    amplitudes = (vectors @ selected.conj()).reshape(counts)
-    del vectors
-
     spectra = [
         _translated_spectra(ptr.grid, *ptr.spectrum, g, values)
         for ptr, g, values in zip(pointers, gains, cluster_values)
@@ -1130,8 +1087,8 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         for spectrum, ptr in zip(spectra, pointers)
     ]
 
-    weights = _marginal_weights(amplitudes, overlaps)
-    # sum_(i,j) A[i] conj(A[j]) prod_l S_l[j_l, i_l], read off any marginal.
+    weights = _branch_weights(psi, phi, bases, overlaps)
+    # <phi| E_K(... E_1(|psi><psi|)) |phi>, read off any marginal.
     probability = _checked_probability(float(np.real(np.sum(weights[0] * overlaps[0].T))))
 
     marginals = []

@@ -134,7 +134,7 @@ class Scenario:
 
     def fingerprint(self) -> str:
         """Hex digest identifying the full configuration."""
-        return hashlib.sha256(serialize_scenario(self).encode("utf-8")).hexdigest()
+        return document_fingerprint(serialize_scenario(self))
 
 
 def _make_grid(
@@ -391,6 +391,12 @@ def _parse_complex(token: str) -> complex:
 
 def _parse_amplitudes(text: str) -> np.ndarray:
     return np.array([_parse_complex(tok) for tok in text.split()], dtype=complex)
+
+
+def document_fingerprint(document: str) -> str:
+    """Scenario.fingerprint of the scenario that serialize_scenario rendered
+    as ``document``: the SHA-256 hex digest of its UTF-8 bytes."""
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -145,6 +145,30 @@ def sequential_oracle(pre, post, couplings):
     return probability, marginals
 
 
+def commuting_sequential_oracle(pre, post, couplings):
+    """sequential_oracle for diagonal couplings (eigenvalues, g, delta),
+    summed over basis-state pairs instead of branch sequences.
+
+    Every projector is diagonal, so a branch sequence has a nonzero
+    amplitude only when its clusters share a basis state a, and then
+    A = c_a = conj(post_a) pre_a, with pointer l shifted by g_l o_l[a].
+    The probability is sum_ab c_a conj(c_b) prod_l E_l(a, b), and pointer
+    k's density has the coefficients c_a conj(c_b) prod_(l != k) E_l(a, b)
+    over the shifts g_k o_k[a] (pair_moments). The sums run over dim^2
+    pairs however many branch sequences the couplings open.
+    """
+    amps = np.conj(np.asarray(post, dtype=complex)) * np.asarray(pre, dtype=complex)
+    pairs = np.multiply.outer(amps, amps.conj())
+    shifts = [g * np.asarray(values, dtype=float) for values, g, _ in couplings]
+    overlaps = [gaussian_overlaps(s, delta) for s, (_, _, delta) in zip(shifts, couplings)]
+    probability = float(np.sum(pairs * np.prod(overlaps, axis=0)).real)
+    marginals = [
+        pair_moments(pairs * np.prod(overlaps[:k] + overlaps[k + 1 :], axis=0), shifts[k], delta)
+        for k, (_, _, delta) in enumerate(couplings)
+    ]
+    return probability, marginals
+
+
 def gaussian_fidelity(amplitudes, shifts, reference_shift, delta, digits=50):
     """|<psi0(. - s)|phi>|^2 for the normalized phi ~ sum_k a_k psi0(q - s_k):
 

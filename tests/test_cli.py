@@ -1,3 +1,4 @@
+import hashlib
 import resource
 import subprocess
 import sys
@@ -137,6 +138,26 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert density.shape == (4096, 2)
     dq = density[1, 0] - density[0, 0]
     assert np.sum(density[:, 1]) * dq == pytest.approx(1.0, abs=1e-8)
+
+
+def test_simulate_out_serializes_the_scenario_once(tmp_path, capsys, monkeypatch):
+    # summary.txt's scenario_sha256 and scenario.txt come from one rendering.
+    calls = []
+    serialize = scenarios.serialize_scenario
+
+    def counted(scenario):
+        calls.append(scenario.name)
+        return serialize(scenario)
+
+    monkeypatch.setattr(scenarios, "serialize_scenario", counted)
+    monkeypatch.setattr(cli, "serialize_scenario", counted)
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "three-box/C", "--out", str(tmp_path))
+    assert code == 0
+    assert calls == ["three-box/C"]
+    document = (tmp_path / "scenario.txt").read_bytes()
+    assert document == serialize(three_box("C")).encode("utf-8")
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert f"# scenario_sha256 = {hashlib.sha256(document).hexdigest()}" in summary
 
 
 def test_simulate_runs_are_byte_identical(tmp_path, capsys):

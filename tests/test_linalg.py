@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,23 @@ def test_tensor_product_norm_and_associativity():
         left = linalg.tensor_product(ab, c)
         right = linalg.tensor_product(a, linalg.tensor_product(b, c))
         assert np.allclose(left, right, atol=1e-15 * max(1.0, float(np.max(np.abs(left)))))
+
+
+def test_tensor_product_dimension_is_capped_before_it_is_built():
+    # 16 x 32 = MAX_DIM is accepted; 32 x 32 = 1024 would be an operator that
+    # every other function refuses, and np.kron would allocate 16 MiB for it.
+    assert linalg.tensor_product(np.eye(16), np.eye(32)).shape == (512, 512)
+    assert linalg.tensor_product(np.ones(16), np.ones(32)).shape == (512,)
+    big = np.eye(32)
+    tracemalloc.start()
+    try:
+        for a, b in ((big, big), (np.ones(32), np.ones(32))):
+            with pytest.raises(DimensionMismatchError, match="exceeds the supported cap"):
+                linalg.tensor_product(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_normalized_rejects_zero_vector():

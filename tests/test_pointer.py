@@ -33,6 +33,7 @@ from weakmeas.pointer import (
 )
 
 from oracles import (
+    commuting_sequential_oracle,
     conditional_oracle,
     eigen_clusters,
     exact_position_moments,
@@ -606,9 +607,9 @@ def test_sequential_matches_einsum_reference():
     for k_total, dim in [(1, 2), (2, 3), (3, 4), (4, 2), (5, 4), (5, 3)]:
         pre, post = _selection_pair(rng, dim)
         cases.append((pre, post, [_random_observable(rng, dim) for _ in range(k_total)]))
-    # Cluster counts (20, 20, 2) in dim 20: the middle marginal's blocks
-    # (20 x 2) are too wide for one GEMM, and its 20 (20, 20) products are
-    # summed in chunks of 2.
+    # Cluster counts (20, 20, 2) in dim 20: a larger system, and a last
+    # coupling with two clusters of 10 eigenvectors each, whose overlaps the
+    # sweep spreads over 10 x 10 blocks and whose weights are block sums.
     pre, post = _selection_pair(rng, 20)
     cases.append((pre, post, [
         _random_observable(rng, 20),
@@ -662,27 +663,6 @@ def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
     assert reads == ([pt.grid] if banded else [])
 
 
-def test_sequential_index_cap_guard_trips_before_building_amplitudes():
-    # 5 * 3^8 * 4^3 * 2 = 4199040, the smallest 5-smooth count above 2^22,
-    # from diagonal observables in dim 5 with that many distinct eigenvalues.
-    counts = [5] + [3] * 8 + [4] * 3 + [2]
-    assert np.prod(counts) == 4199040 > pointer.SEQUENTIAL_INDEX_CAP == 2**22
-    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
-    couplings = [
-        (np.diag(np.concatenate([np.linspace(-1.0, 1.0, m), np.ones(5 - m)])), 0.05, pt)
-        for m in counts
-    ]
-    psi = np.ones(5) / np.sqrt(5.0)
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionMismatchError, match="exceeds the cap"):
-            sequential_couple(psi, couplings, psi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # the amplitude tensor alone would take 64 MiB
-
-
 def _diagonal_couplings(dim, counts, pt):
     """Diagonal observables in ``dim`` with m distinct eigenvalues each."""
     return [
@@ -692,17 +672,17 @@ def _diagonal_couplings(dim, counts, pt):
 
 
 def test_sequential_work_cap_guard_trips_before_building_amplitudes():
-    # Two couplings in dim 512 with 512 and 51 clusters on n = 2^14 pointers:
-    # N = 26112 is far below the index cap, but the overlaps and densities
-    # (m^2 n) and the FFT passes put the estimate just above the work cap;
-    # 50 clusters instead of 51 would pass it.
-    n = 2**14
-    assert pointer._sequential_cost(512, [512, 50], [n, n])[0] <= pointer.SEQUENTIAL_WORK_CAP
-    work, held = pointer._sequential_cost(512, [512, 51], [n, n])
+    # Two couplings in dim 512 with 512 and 493 clusters on n = 2^13 pointers:
+    # the sweep (5 K dim^3), the overlaps and densities (m^2 n) and the FFT
+    # passes put the estimate just above the work cap; 492 clusters instead
+    # of 493 would pass it.
+    n = 2**13
+    assert pointer._sequential_cost(512, [512, 492], [n, n])[0] <= pointer.SEQUENTIAL_WORK_CAP
+    work, held = pointer._sequential_cost(512, [512, 493], [n, n])
     assert pointer.SEQUENTIAL_WORK_CAP < work < 1.001 * pointer.SEQUENTIAL_WORK_CAP
     assert held <= pointer.SEQUENTIAL_HELD_CAP
     pt = make_gaussian(default_grid(1.0, 0.1, n=n), 1.0)
-    couplings = _diagonal_couplings(512, [512, 51], pt)
+    couplings = _diagonal_couplings(512, [512, 493], pt)
     psi = np.ones(512) / np.sqrt(512.0)
     tracemalloc.start()
     try:
@@ -711,22 +691,22 @@ def test_sequential_work_cap_guard_trips_before_building_amplitudes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the first coupling's spectra alone would take 128 MiB
+    assert peak < 32 * 2**20  # the first coupling's packets alone would take 64 MiB
 
 
 def test_sequential_held_cap_guard_trips_before_building_amplitudes():
-    # 20 two-cluster couplings in dim 63: N = 2^20 is below the index cap and
-    # the work is a quarter of its cap, but the 2^19 system vectors of the
-    # last projecting stage (held twice) put the memory estimate just above
-    # the cap; dim 62 would pass it.
-    sizes = [4096] * 20
-    assert pointer._sequential_cost(62, [2] * 20, sizes)[1] <= pointer.SEQUENTIAL_HELD_CAP
-    work, held = pointer._sequential_cost(63, [2] * 20, sizes)
-    assert pointer.SEQUENTIAL_HELD_CAP < held < 1.01 * pointer.SEQUENTIAL_HELD_CAP
+    # Couplings with 15 and 4 clusters in dim 16 on n = 2^20 pointers: their
+    # spectra (m n each) and the three arrays of the first coupling's size
+    # put the memory estimate just above the cap, with the work at 0.79 of
+    # its cap; 3 clusters instead of 4 would pass it.
+    sizes = [2**20] * 2
+    assert pointer._sequential_cost(16, [15, 3], sizes)[1] <= pointer.SEQUENTIAL_HELD_CAP
+    work, held = pointer._sequential_cost(16, [15, 4], sizes)
+    assert pointer.SEQUENTIAL_HELD_CAP < held < 1.001 * pointer.SEQUENTIAL_HELD_CAP
     assert work <= pointer.SEQUENTIAL_WORK_CAP
-    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
-    couplings = _diagonal_couplings(63, [2] * 20, pt)
-    psi = np.ones(63) / np.sqrt(63.0)
+    pt = make_gaussian(default_grid(1.0, 0.1, n=sizes[0]), 1.0)
+    couplings = _diagonal_couplings(16, [15, 4], pt)
+    psi = np.ones(16) / 4.0
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatchError, match="held exceeds the cap"):
@@ -734,19 +714,18 @@ def test_sequential_held_cap_guard_trips_before_building_amplitudes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20  # the stage vectors alone would take 1 GiB
+    assert peak < 8 * 2**20  # the first coupling's packets alone would take 240 MiB
 
 
-def test_sequential_at_index_cap_within_budget():
-    # K = 11 dense dim-4 couplings: 4^11 = 2^22 branch sequences, the cap.
-    # The contraction holds about log2(K) + 2 tensors of N complex numbers
-    # (64 MiB each here); unloaded it takes ~2-3 s on 2 cores, against the
-    # README budget of 10 s and 2 GB peak RSS.
-    rng = np.random.default_rng(909)
-    pre, post = _selection_pair(rng, 4)
+@pytest.mark.parametrize("k_total, dim", [(11, 4), (22, 2)])
+def test_sequential_many_couplings_within_budget(k_total, dim):
+    # 4^11 and 2^22 branch sequences. The sweep's cost grows as K dim^3, not
+    # with their count: ~20 ms and a ~2 MiB tracemalloc peak on a 2-core Xeon.
+    rng = np.random.default_rng(909 + dim)
+    pre, post = _selection_pair(rng, dim)
     pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
-    couplings = [(_random_observable(rng, 4), float(rng.uniform(0.04, 0.09)), pt)
-                 for _ in range(11)]
+    couplings = [(_random_observable(rng, dim), float(rng.uniform(0.04, 0.09)), pt)
+                 for _ in range(k_total)]
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -755,11 +734,37 @@ def test_sequential_at_index_cap_within_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 4**11 == pointer.SEQUENTIAL_INDEX_CAP
+    assert dim**k_total >= 2**22
     assert 0.0 < prob <= 1.0
-    assert len(marginals) == 11
-    assert peak < 512 * 2**20
-    assert elapsed < 10.0
+    assert len(marginals) == k_total
+    assert peak < 16 * 2**20
+    assert elapsed < 2.0
+
+
+def test_sequential_commuting_couplings_past_any_branch_tensor():
+    # K = 40 diagonal couplings in dim 3, each with two clusters (one of them
+    # degenerate): N = 2^40 branch sequences. Only those through one basis
+    # state survive, so the closed form sums over basis-state pairs.
+    rng = np.random.default_rng(4040)
+    pre, post = _selection_pair(rng, 3)
+    pointers = {delta: make_gaussian(default_grid(delta, 0.1 * delta), delta)
+                for delta in (0.5, 1.0, 2.0)}
+    couplings, spec = [], []
+    for k in range(40):
+        values = rng.permutation([1.0, 1.0, -0.6])
+        delta = (0.5, 1.0, 2.0)[k % 3]
+        g = float(rng.uniform(0.3, 1.0)) * 0.1 * delta * rng.choice([-1.0, 1.0])
+        couplings.append((np.diag(values), g, pointers[delta]))
+        spec.append((values, g, delta))
+    marginals, prob = sequential_couple(pre, couplings, post)
+    want_prob, want = commuting_sequential_oracle(pre, post, spec)
+    assert prob == pytest.approx(want_prob, rel=1e-9)
+    for marginal, oracle, (_, _, delta) in zip(marginals, want, spec):
+        got = moments(marginal)
+        assert abs(got.mean_q - oracle["mean_q"]) <= 1e-8 * delta
+        assert abs(got.var_q - oracle["var_q"]) <= 1e-8 * delta**2
+        assert abs(got.mean_p - oracle["mean_p"]) <= 1e-8 / delta
+        assert abs(got.var_p - oracle["var_p"]) <= 1e-8 / delta**2
 
 
 def test_sequential_probability_above_one_guard(monkeypatch):

@@ -225,6 +225,13 @@ class PointerState:
         """
         return self._spectrum
 
+    @property
+    def components(self) -> tuple[slice, np.ndarray, np.ndarray]:
+        """(band, rows, weights) as a MixedPointerState holds them: the
+        spectrum is the one row, of weight 1.0."""
+        band, values = self._spectrum
+        return band, values[None, :], np.ones(1)
+
     def position_density(self) -> np.ndarray:
         """|psi(q)|^2 on grid.points; integrates to 1 with weight dq."""
         rho = np.abs(self.samples)
@@ -250,16 +257,22 @@ class PointerState:
         The factor exp(-i p q_min) of momentum_wavefunction has unit
         modulus, so the density is |spectrum|^2 dq^2 / (2 pi).
         """
-        band, values = self.spectrum
-        rho = np.zeros(self.grid.n)
-        rho[band] = _spectral_density(self.grid, values)
-        return rho
+        return _momentum_density(self)
 
 
 def _spectral_density(grid: PointerGrid, values: np.ndarray) -> np.ndarray:
     """|phi(p)|^2 from DFT values: |values|^2 dq^2 / (2 pi)."""
     rho = np.abs(values) ** 2
     rho *= grid.spacing**2 / (2.0 * pi)
+    return rho
+
+
+def _momentum_density(state) -> np.ndarray:
+    """|phi(p)|^2 on grid.momenta_sorted: sum_a weights[a] |rows[a]|^2 dq^2
+    / (2 pi) on the band of the state's components, zero elsewhere."""
+    band, rows, weights = state.components
+    rho = np.zeros(state.grid.n)
+    rho[band] = weights @ _spectral_density(state.grid, rows)
     return rho
 
 
@@ -280,40 +293,33 @@ def _inverse_fft(grid: PointerGrid, band: slice, values: np.ndarray) -> np.ndarr
 
 
 class MixedPointerState:
-    """Reduced pointer readout state: position and momentum densities.
+    """Reduced readout state of a pointer entangled with other pointers.
 
-    Pointers entangled with other pointers have no marginal wavefunction;
-    this carries exactly what remains observable on one of them. Densities
-    are stored normalized (unit integral with their lattice weight).
+    ``components`` is (band, rows, weights): the state is the mixture
+    sum_a weights[a] |g_a><g_a|, with rows[a] the values of g_a's spectrum
+    on grid.momenta_sorted[band] and every weight positive. A PointerState
+    is the one row of its spectrum with weight 1.0. sequential_couple
+    builds these states; the position density is formed then and held.
     """
 
-    __slots__ = ("grid", "_rho_q", "_rho_p")
+    __slots__ = ("grid", "components", "_rho_q")
 
-    def __init__(self, grid: PointerGrid, position_density, momentum_density):
-        rho_q = np.asarray(position_density, dtype=float)
-        rho_p = np.asarray(momentum_density, dtype=float)
-        if rho_q.shape != (grid.n,) or rho_p.shape != (grid.n,):
-            raise DimensionMismatchError("density shape does not match grid size")
-        if not (np.all(np.isfinite(rho_q)) and np.all(np.isfinite(rho_p))):
-            raise InputError("densities contain NaN or Inf")
-        if rho_q.min() < -1e-12 or rho_p.min() < -1e-12:
-            raise InputError("densities must be nonnegative")
-        rho_q = np.clip(rho_q, 0.0, None)
-        rho_p = np.clip(rho_p, 0.0, None)
-        tq = float(rho_q.sum() * grid.spacing)
-        tp = float(rho_p.sum() * grid.momentum_spacing)
-        if abs(tq - 1.0) > NORM_TOL or abs(tp - 1.0) > NORM_TOL:
-            raise InputError(
-                f"marginal densities not normalized: position defect {abs(tq - 1.0):.3e}, "
-                f"momentum defect {abs(tp - 1.0):.3e}"
-            )
-        rho_q = rho_q / tq
-        rho_p = rho_p / tp
-        rho_q.setflags(write=False)
-        rho_p.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_rho_q", rho_q)
-        object.__setattr__(self, "_rho_p", rho_p)
+    @classmethod
+    def _held(
+        cls, grid: PointerGrid, band: slice, rows: np.ndarray, weights: np.ndarray
+    ) -> MixedPointerState:
+        """The mixture of fresh arrays the caller hands over, unchecked and
+        uncopied; its position density takes one batched inverse FFT."""
+        density = np.abs(_inverse_fft(grid, band, rows))
+        density *= density
+        rho_q = weights @ density
+        for arr in (rows, weights, rho_q):
+            arr.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "grid", grid)
+        object.__setattr__(state, "components", (band, rows, weights))
+        object.__setattr__(state, "_rho_q", rho_q)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("MixedPointerState is immutable")
@@ -322,7 +328,7 @@ class MixedPointerState:
         return self._rho_q
 
     def momentum_density(self) -> np.ndarray:
-        return self._rho_p
+        return _momentum_density(self)
 
 
 def make_gaussian(grid: PointerGrid, delta: float, center: float = 0.0) -> PointerState:
@@ -579,46 +585,44 @@ def _band_moments(grid: PointerGrid, band: slice, values: np.ndarray) -> tuple[f
 
 
 def _position_moments(state) -> tuple[float, float, float]:
-    """Total mass, mean and variance of the position density: read off the
-    band of a PointerState whose band is narrow (_band_path), else one pass
-    over position_density()."""
+    """Total mass, mean and variance of the position density. Where the
+    band is narrow (_band_path) each row of the components is read off it,
+    and the rows combine by the law of total variance with shares c_a =
+    weights[a] t_a / total: one row of weight 1.0 has c = t/t = 1.0, so a
+    PointerState keeps its bits. Else one pass over position_density()."""
     grid = state.grid
-    if isinstance(state, PointerState):
-        band, values = state.spectrum
-        if _band_path(grid, band):
-            return _band_moments(grid, band, values)
-    return _density_moments(grid.points, state.position_density(), grid.spacing)
-
-
-def _momentum_density(state) -> tuple[np.ndarray, np.ndarray]:
-    """(momenta, density) wherever the momentum density may be nonzero: a
-    PointerState's band, else the whole sorted lattice."""
-    grid = state.grid
-    if isinstance(state, PointerState):
-        band, values = state.spectrum
-        return grid._momenta_on(band), _spectral_density(grid, values)
-    return grid.momenta_sorted, state.momentum_density()
+    band, rows, weights = state.components
+    if not _band_path(grid, band):
+        return _density_moments(grid.points, state.position_density(), grid.spacing)
+    parts = [_band_moments(grid, band, row) for row in rows]
+    masses = [float(weight) * t for weight, (t, _, _) in zip(weights, parts)]
+    total = sum(masses)
+    shares = [mass / total for mass in masses]
+    mean = sum(c * mu for c, (_, mu, _) in zip(shares, parts))
+    return total, mean, sum(c * (var + (mu - mean) ** 2) for c, (_, mu, var) in zip(shares, parts))
 
 
 def moments(state) -> Moments:
     """Position and momentum moments of a PointerState or MixedPointerState.
 
-    A PointerState's momentum moments are one pass over its spectrum's band,
-    and so are its position moments unless the band is wide (_band_path);
-    otherwise each is one pass over its density. Raises NumericalGuardError
-    when the two densities' totals differ by more than NORM_TOL (Parseval).
-    On the band path both totals are sum |V|^2 dq/n, so the check binds
-    only where the position moments come from the samples or densities.
+    The momentum moments are one pass over the momentum density on the
+    state's band, and so are the position moments unless the band is wide
+    (_band_path); otherwise they are one pass over the position density.
+    Raises NumericalGuardError when the two densities' totals differ by
+    more than NORM_TOL (Parseval). On the band path both totals are sum_a
+    weights[a] sum |rows[a]|^2 dq/n, so the check binds only where the
+    position moments come from the samples or densities.
     """
     grid = state.grid
     total_q, mu_q, var_q_ = _position_moments(state)
-    momenta, rho_p = _momentum_density(state)
+    band, rows, weights = state.components
+    rho_p = weights @ _spectral_density(grid, rows)
     total_p = float(rho_p.sum() * grid.momentum_spacing)
     if abs(total_p - total_q) > NORM_TOL * max(1.0, total_q):
         raise NumericalGuardError(
             f"Parseval defect {abs(total_p - total_q):.3e} exceeds {NORM_TOL:.1e}"
         )
-    _, mu_p, var_p_ = _density_moments(momenta, rho_p, grid.momentum_spacing)
+    _, mu_p, var_p_ = _density_moments(grid._momenta_on(band), rho_p, grid.momentum_spacing)
     return Moments(mu_q, var_q_, mu_p, var_p_)
 
 
@@ -912,13 +916,6 @@ def _translated_spectra(
                      for value in values])
 
 
-def _mixed_density(weights: np.ndarray, packets: np.ndarray) -> np.ndarray:
-    """sum_(i,j) W[i, j] f_i conj(f_j) for the rows f of ``packets`` (real)."""
-    mixed = weights.T @ packets
-    mixed *= packets.conj()
-    return mixed.real.sum(axis=0)
-
-
 def _spread(matrix: np.ndarray, sizes: list[int]) -> np.ndarray:
     """C M C^T for the cluster indicator C: entry (a, b) is M[c(a), c(b)],
     with c(a) the cluster of eigenvector a and clusters of ``sizes``
@@ -969,23 +966,36 @@ def _branch_weights(
     return weights[::-1]
 
 
-def _sequential_cost(dim: int, counts: list[int], sizes: list[int]) -> tuple[int, int]:
-    """Estimated (complex multiply-adds, complex numbers held at the peak).
+def _sequential_cost(
+    dim: int, operators: int, pointers: list[tuple[int, int, int]]
+) -> tuple[int, int]:
+    """Estimated (complex multiply-adds, complex numbers held at the peak)
+    for ``operators`` distinct operators and, per coupling, its pointer's
+    (m, w, n): cluster count, band width and grid size.
 
-    System (_branch_weights): per coupling one change of basis and two
-    dim x dim products in each sweep, 5 dim^3, holding the eigenvectors,
-    the change of basis and the rotated state, 3 dim^2. Pointers: m_k^2 *
-    n_k for the overlap matrix and for each of the two densities, plus
-    32 log2(n_k) per spectrum entry for the FFTs and elementwise passes (as
-    timed against matrix products); every spectrum stays alive, and one
-    coupling at a time adds three more arrays of its size.
+    Each eigh counts 18 m^3 (timed against matrix products at m = 512): one
+    per distinct operator (m = dim) and one per coupling's weights. Per
+    coupling the sweep (_branch_weights) costs 5 dim^3 and holds 3 dim^2;
+    the overlaps and rows cost m^2 w each, and the batched inverse FFT and
+    weighted sum 32 log2(n) per entry of the m x n packets. The spectra,
+    rows, overlaps and weights (2 m (w + m)) and each n-point density stay
+    alive; one coupling at a time adds three arrays of its packets' size.
     """
-    work = 5 * len(counts) * dim**3
-    work += sum(m * n * (3 * m + 32 * (n.bit_length() - 1)) for m, n in zip(counts, sizes))
-    held = 3 * len(counts) * dim * dim
-    held += sum(m * n + m * m for m, n in zip(counts, sizes))
-    held += 3 * max(m * n for m, n in zip(counts, sizes))
+    work = (5 * len(pointers) + 18 * operators) * dim**3
+    work += sum(m * (18 * m * m + 2 * m * w + 32 * n * (n.bit_length() - 1))
+                for m, w, n in pointers)
+    held = 3 * len(pointers) * dim * dim + 3 * max(m * n for m, _, n in pointers)
+    held += sum(2 * m * (w + m) + n for m, w, n in pointers)
     return work, held
+
+
+def _check_cost(work: int, held: int) -> None:
+    if work > SEQUENTIAL_WORK_CAP:
+        raise DimensionMismatchError(f"estimated work {work:.3g} complex multiply-adds "
+                                     f"exceeds the cap {SEQUENTIAL_WORK_CAP:.3g}")
+    if held > SEQUENTIAL_HELD_CAP:
+        raise DimensionMismatchError(f"estimated peak of {held:.3g} complex numbers held "
+                                     f"exceeds the cap {SEQUENTIAL_HELD_CAP:.3g}")
 
 
 def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], float]:
@@ -1019,11 +1029,17 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     pointer overlaps S_l, so the couplings before it fold into one system
     density matrix and those after it into one effect operator
     (_branch_weights). The system side costs about 5 K dim^3 complex
-    multiply-adds, however many branch sequences the K couplings open. The
-    estimated work and peak memory of the whole call (_sequential_cost) are
-    capped at SEQUENTIAL_WORK_CAP and SEQUENTIAL_HELD_CAP; both caps raise
-    DimensionMismatchError before any pointer spectrum is built. Pointer
-    grids are never tensored together.
+    multiply-adds, however many branch sequences the K couplings open.
+    Pointer k's state sum_(i,j) W_k[i, j] |f_i><f_j| / p, with f_i its
+    packet translated by g o_i, is split by one eigh, W_k / p = U diag(l)
+    U^dag: the mixture of the rows (U^T f)_a with weights l_a, dropping
+    l_a <= 0 (round-off: W_k is positive semidefinite) and zero rows.
+
+    Each distinct operator is diagonalized once. The estimated work and
+    peak memory (_sequential_cost) are capped at SEQUENTIAL_WORK_CAP and
+    SEQUENTIAL_HELD_CAP, raising DimensionMismatchError: before any eigh
+    with every cluster count at its least, 1, and again before any pointer
+    spectrum is built. Pointer grids are never tensored together.
     """
     couplings = list(couplings)
     if not couplings:
@@ -1031,60 +1047,51 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     psi = linalg.require_state(psi)
     phi = linalg.require_state(phi, psi.size, "post-selected")
     dim = psi.size
-
-    gains = []
-    pointers = []
-    widths: dict[int, float] = {}  # id(pointer) -> sqrt(2 Var Q)
-    cluster_values: list[np.ndarray] = []
-    bases: list[tuple[np.ndarray, list[int]]] = []
-    for k, (operator, g, ptr) in enumerate(couplings):
-        eig = linalg.eig_hermitian(operator)
-        if eig.dim != dim:
-            raise DimensionMismatchError(
-                f"coupling {k}: operator dimension {eig.dim} != system dimension {dim}"
-            )
+    for k, (_, g, ptr) in enumerate(couplings):
         if not np.isfinite(g):
             raise InputError(f"coupling {k}: g must be finite")
         if not isinstance(ptr, PointerState):
             raise InputError(f"coupling {k}: pointer must be a PointerState")
-        bound = float(np.max(np.abs(eig.eigenvalues)))
-        if id(ptr) not in widths:
-            widths[id(ptr)] = sqrt(2.0 * var_q(ptr))
+    operators = {id(operator): operator for operator, _, _ in couplings}
+    shapes = [(ptr.spectrum[0].stop - ptr.spectrum[0].start, ptr.grid.n)
+              for _, _, ptr in couplings]
+    _check_cost(*_sequential_cost(dim, len(operators), [(1, w, n) for w, n in shapes]))
+    decompositions = {key: linalg.eig_hermitian(op) for key, op in operators.items()}
+    distinct = {id(ptr): ptr for _, _, ptr in couplings}
+    widths = {key: sqrt(2.0 * var_q(ptr)) for key, ptr in distinct.items()}  # sqrt(2 Var Q)
+
+    cluster_values: list[np.ndarray] = []
+    bases: list[tuple[np.ndarray, list[int]]] = []
+    for k, (operator, g, ptr) in enumerate(couplings):
+        eig = decompositions[id(operator)]
+        if eig.dim != dim:
+            raise DimensionMismatchError(
+                f"coupling {k}: operator dimension {eig.dim} != system dimension {dim}"
+            )
+        shift = abs(g) * float(np.max(np.abs(eig.eigenvalues)))
         width = widths[id(ptr)]
-        if abs(g) * bound > width / 10.0 * (1.0 + WEAK_GUARD_RTOL):
+        if shift > width / 10.0 * (1.0 + WEAK_GUARD_RTOL):
             raise GridGuardError(
-                f"coupling {k}: g*max|o| = {abs(g) * bound:.6g} exceeds the weak-regime "
+                f"coupling {k}: g*max|o| = {shift:.6g} exceeds the weak-regime "
                 f"guard delta/10 = {width / 10.0:.6g}"
             )
-        if abs(g) * bound > 0.25 * ptr.grid.extent:
+        if shift > 0.25 * ptr.grid.extent:
             raise GridGuardError(f"coupling {k}: translation would wrap around the grid")
         clusters = eig.clusters()
-        gains.append(float(g))
-        pointers.append(ptr)
         cluster_values.append(np.array([value for value, _ in clusters]))
         bases.append((eig.eigenvectors, [idx.size for _, idx in clusters]))
-
-    counts = [values.size for values in cluster_values]
-    work, held = _sequential_cost(dim, counts, [ptr.grid.n for ptr in pointers])
-    if work > SEQUENTIAL_WORK_CAP:
-        raise DimensionMismatchError(
-            f"estimated work {work:.3g} complex multiply-adds exceeds the cap "
-            f"{SEQUENTIAL_WORK_CAP:.3g}"
-        )
-    if held > SEQUENTIAL_HELD_CAP:
-        raise DimensionMismatchError(
-            f"estimated peak of {held:.3g} complex numbers held exceeds the cap "
-            f"{SEQUENTIAL_HELD_CAP:.3g}"
-        )
+    _check_cost(*_sequential_cost(
+        dim, len(operators), [(v.size, w, n) for v, (w, n) in zip(cluster_values, shapes)]
+    ))
 
     spectra = [
-        _translated_spectra(ptr.grid, *ptr.spectrum, g, values)
-        for ptr, g, values in zip(pointers, gains, cluster_values)
+        _translated_spectra(ptr.grid, *ptr.spectrum, float(g), values)
+        for (_, g, ptr), values in zip(couplings, cluster_values)
     ]
     overlaps = [
         # S[j, i] = <psi_j | psi_i>, summed over the spectra (Parseval)
         spectrum.conj() @ spectrum.T * (ptr.grid.spacing / ptr.grid.n)
-        for spectrum, ptr in zip(spectra, pointers)
+        for spectrum, (_, _, ptr) in zip(spectra, couplings)
     ]
 
     weights = _branch_weights(psi, phi, bases, overlaps)
@@ -1092,56 +1099,41 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     probability = _checked_probability(float(np.real(np.sum(weights[0] * overlaps[0].T))))
 
     marginals = []
-    for w, spectrum, ptr in zip(weights, spectra, pointers):
-        grid_k, band = ptr.grid, ptr.spectrum[0]
-        packets = _inverse_fft(grid_k, band, spectrum)
-        rho_q = _mixed_density(w, packets) / probability
-        rho_p = np.zeros(grid_k.n)
-        rho_p[band] = _mixed_density(w, spectrum) * (grid_k.spacing**2 / (2.0 * pi) / probability)
-        marginals.append(MixedPointerState(grid_k, rho_q, rho_p))
+    for weight, spectrum, (_, _, ptr) in zip(weights, spectra, couplings):
+        mixture, basis = np.linalg.eigh(weight / probability)
+        rows = basis.T @ spectrum
+        kept = (mixture > 0.0) & rows.any(axis=1)
+        marginals.append(
+            MixedPointerState._held(ptr.grid, ptr.spectrum[0], rows[kept], mixture[kept])
+        )
     return marginals, probability
 
 
-def _grid_header(grid: PointerGrid) -> dict[str, object]:
-    return {
-        "grid_n": grid.n,
-        "grid_q_min": grid.q_min,
-        "grid_q_max": grid.q_max,
-        "grid_spacing": grid.spacing,
-    }
+def _write(grid: PointerGrid, target, names, columns, header, delimiter, **extra) -> None:
+    """One export: the grid's header lines, then ``header``, then ``extra``."""
+    merged = {"grid_n": grid.n, "grid_q_min": grid.q_min, "grid_q_max": grid.q_max,
+              "grid_spacing": grid.spacing, **(header or {}), **extra}
+    textout.write_table(target, names, columns, merged, delimiter)
 
 
 def write_position_density(state, target, header: dict | None = None,
                            delimiter: str = "\t") -> None:
     """Two-column export: q, |psi(q)|^2."""
-    grid = state.grid
-    merged = {**_grid_header(grid), **(header or {})}
-    textout.write_table(
-        target, ["q", "density"], [grid.points, state.position_density()], merged, delimiter
-    )
+    columns = [state.grid.points, state.position_density()]
+    _write(state.grid, target, ["q", "density"], columns, header, delimiter)
 
 
 def write_momentum_density(state, target, header: dict | None = None,
                            delimiter: str = "\t") -> None:
     """Two-column export: p, |phi(p)|^2 on the ascending momentum lattice."""
     grid = state.grid
-    merged = {**_grid_header(grid), **(header or {})}
-    merged["grid_momentum_spacing"] = grid.momentum_spacing
-    textout.write_table(
-        target, ["p", "density"], [grid.momenta_sorted, state.momentum_density()], merged,
-        delimiter,
-    )
+    _write(grid, target, ["p", "density"], [grid.momenta_sorted, state.momentum_density()],
+           header, delimiter, grid_momentum_spacing=grid.momentum_spacing)
 
 
 def write_wavefunction(state: PointerState, target, header: dict | None = None,
                        delimiter: str = "\t") -> None:
     """Four-column export: q, Re psi, Im psi, |psi|^2."""
-    grid = state.grid
-    merged = {**_grid_header(grid), **(header or {})}
-    textout.write_table(
-        target,
-        ["q", "re_psi", "im_psi", "density"],
-        [grid.points, state.samples.real, state.samples.imag, state.position_density()],
-        merged,
-        delimiter,
-    )
+    samples = state.samples
+    columns = [state.grid.points, samples.real, samples.imag, state.position_density()]
+    _write(state.grid, target, ["q", "re_psi", "im_psi", "density"], columns, header, delimiter)

@@ -632,8 +632,8 @@ def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
     # The couplings share one pointer, held as its closed-form spectrum; the
     # weak-regime guard reads its var_q off the band, once (off its samples,
     # one more ifft, where there are no band moments). Each coupling makes
-    # one batched ifft of its translated family, and the momentum densities
-    # come from the translated spectra.
+    # one batched ifft of its mixture's rows, and the momentum densities
+    # come from the rows.
     calls = {"fft": 0, "ifft": 0}
     fft, ifft = np.fft.fft, np.fft.ifft
 
@@ -666,23 +666,30 @@ def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
 def _diagonal_couplings(dim, counts, pt):
     """Diagonal observables in ``dim`` with m distinct eigenvalues each."""
     return [
-        (np.diag(np.concatenate([np.linspace(-1.0, 1.0, m), np.ones(dim - m)])), 0.05, pt)
+        (np.diag(np.concatenate([np.linspace(1.0, -1.0, m), np.ones(dim - m)])), 0.05, pt)
         for m in counts
     ]
 
 
+def _band_width(pt):
+    band = pt.spectrum[0]
+    return band.stop - band.start
+
+
 def test_sequential_work_cap_guard_trips_before_building_amplitudes():
-    # Two couplings in dim 512 with 512 and 493 clusters on n = 2^13 pointers:
-    # the sweep (5 K dim^3), the overlaps and densities (m^2 n) and the FFT
-    # passes put the estimate just above the work cap; 492 clusters instead
-    # of 493 would pass it.
-    n = 2**13
-    assert pointer._sequential_cost(512, [512, 492], [n, n])[0] <= pointer.SEQUENTIAL_WORK_CAP
-    work, held = pointer._sequential_cost(512, [512, 493], [n, n])
+    # Two couplings in dim 512 with 512 and 434 clusters on n = 2^14
+    # pointers: the operators' and weights' eigh, the sweep (5 K dim^3) and
+    # the FFT passes put the estimate just above the work cap; 433 clusters
+    # instead of 434 would pass it.
+    n = 2**14
+    pt = make_gaussian(default_grid(1.0, 0.1, n=n), 1.0)
+    w = _band_width(pt)
+    assert pointer._sequential_cost(512, 2, [(512, w, n), (433, w, n)])[0] <= (
+        pointer.SEQUENTIAL_WORK_CAP)
+    work, held = pointer._sequential_cost(512, 2, [(512, w, n), (434, w, n)])
     assert pointer.SEQUENTIAL_WORK_CAP < work < 1.001 * pointer.SEQUENTIAL_WORK_CAP
     assert held <= pointer.SEQUENTIAL_HELD_CAP
-    pt = make_gaussian(default_grid(1.0, 0.1, n=n), 1.0)
-    couplings = _diagonal_couplings(512, [512, 493], pt)
+    couplings = _diagonal_couplings(512, [512, 434], pt)
     psi = np.ones(512) / np.sqrt(512.0)
     tracemalloc.start()
     try:
@@ -691,22 +698,25 @@ def test_sequential_work_cap_guard_trips_before_building_amplitudes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the first coupling's packets alone would take 64 MiB
+    assert peak < 32 * 2**20  # the first coupling's packets alone would take 128 MiB
 
 
 def test_sequential_held_cap_guard_trips_before_building_amplitudes():
-    # Couplings with 15 and 4 clusters in dim 16 on n = 2^20 pointers: their
-    # spectra (m n each) and the three arrays of the first coupling's size
-    # put the memory estimate just above the cap, with the work at 0.79 of
-    # its cap; 3 clusters instead of 4 would pass it.
-    sizes = [2**20] * 2
-    assert pointer._sequential_cost(16, [15, 3], sizes)[1] <= pointer.SEQUENTIAL_HELD_CAP
-    work, held = pointer._sequential_cost(16, [15, 4], sizes)
+    # Couplings with 20, 1, 1 and 1 clusters in dim 21 on n = 2^20
+    # pointers: three arrays the size of the first coupling's packets (3 m n)
+    # and the four held position densities put the memory estimate just
+    # above the cap, with the work at 0.9 of its cap; without the fourth
+    # coupling it would pass.
+    n = 2**20
+    pt = make_gaussian(default_grid(1.0, 0.1, n=n), 1.0)
+    w = _band_width(pt)
+    assert pointer._sequential_cost(21, 3, [(20, w, n), (1, w, n), (1, w, n)])[1] <= (
+        pointer.SEQUENTIAL_HELD_CAP)
+    work, held = pointer._sequential_cost(21, 4, [(20, w, n)] + [(1, w, n)] * 3)
     assert pointer.SEQUENTIAL_HELD_CAP < held < 1.001 * pointer.SEQUENTIAL_HELD_CAP
     assert work <= pointer.SEQUENTIAL_WORK_CAP
-    pt = make_gaussian(default_grid(1.0, 0.1, n=sizes[0]), 1.0)
-    couplings = _diagonal_couplings(16, [15, 4], pt)
-    psi = np.ones(16) / 4.0
+    couplings = _diagonal_couplings(21, [20, 1, 1, 1], pt)
+    psi = np.ones(21) / np.sqrt(21.0)
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatchError, match="held exceeds the cap"):
@@ -714,7 +724,51 @@ def test_sequential_held_cap_guard_trips_before_building_amplitudes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20  # the first coupling's packets alone would take 240 MiB
+    assert peak < 8 * 2**20  # the first coupling's packets alone would take 320 MiB
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sequential_diagonalizes_each_operator_once(monkeypatch):
+    # Six couplings through two distinct dense operators: two decompositions.
+    rng = np.random.default_rng(313)
+    pre, post = _selection_pair(rng, 4)
+    pt = make_gaussian(default_grid(1.0, 0.1), 1.0)
+    first, second = _random_observable(rng, 4), _random_observable(rng, 4)
+    calls = _count_calls(monkeypatch, linalg, "eig_hermitian")
+    sequential_couple(pre, [(first, 0.05, pt)] * 5 + [(second, 0.05, pt)], post)
+    assert len(calls) == 2
+    calls.clear()
+    sequential_couple(pre, [(first, 0.05, pt)] * 6, post)
+    assert len(calls) == 1
+
+
+def test_sequential_refuses_before_any_eigh(monkeypatch):
+    # 40 couplings sharing one dense dim-512 operator on n = 256 pointers:
+    # their sweep alone (5 K dim^3) exceeds the work cap, so the call is
+    # refused with no eigendecomposition at all.
+    rng = np.random.default_rng(4512)
+    operator = _random_observable(rng, 512)
+    pt = make_gaussian(default_grid(1.0, 0.1, n=256), 1.0)
+    psi = np.ones(512) / np.sqrt(512.0)
+    calls = _count_calls(monkeypatch, linalg, "eig_hermitian")
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    start = time.perf_counter()
+    with pytest.raises(DimensionMismatchError, match="work .* exceeds the cap"):
+        sequential_couple(psi, [(operator, 0.05, pt)] * 40, psi)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [] and eighs == []
 
 
 @pytest.mark.parametrize("k_total, dim", [(11, 4), (22, 2)])
@@ -781,20 +835,75 @@ def test_sequential_probability_above_one_guard(monkeypatch):
         sequential_couple(up, [(SZ, 0.05, pt), (SZ, 0.05, pt)], up)
 
 
-def test_mixed_state_validation():
-    grid = default_grid(1.0)
-    state = make_gaussian(grid, 1.0)
-    rho_q = state.position_density()
-    rho_p = state.momentum_density()
-    mixed = MixedPointerState(grid, rho_q, rho_p)
-    assert mean_q(mixed) == pytest.approx(0.0, abs=1e-12)
-    assert var_p(mixed) == pytest.approx(0.5, rel=1e-9)
-    with pytest.raises(InputError):
-        MixedPointerState(grid, -rho_q, rho_p)
-    with pytest.raises(InputError):
-        MixedPointerState(grid, 3.0 * rho_q, rho_p)
-    with pytest.raises(DimensionMismatchError):
-        MixedPointerState(grid, rho_q[:-1], rho_p)
+def _one_row_mixture(state):
+    band, values = state.spectrum
+    return MixedPointerState._held(state.grid, band, values[None, :].copy(), np.ones(1))
+
+
+def test_one_row_mixture_reads_as_its_pure_state():
+    # A PointerState is the mixture of its spectrum alone, with weight 1.0:
+    # its moments, densities and single moments keep their bits.
+    grid = default_grid(1.0, 1.0)
+    selected, _ = post_select(couple(np.array([0.8, 0.6]), make_gaussian(grid, 1.0), SZ, 0.7),
+                              np.array([1.0, 1.0j]) / np.sqrt(2))
+    spin, _ = resolve("spin-amp/1j").run()
+    for state in (make_gaussian(grid, 1.0, center=0.3), selected, spin):
+        mixed = _one_row_mixture(state)
+        for fn in (moments, mean_q, var_q, mean_p, var_p):
+            assert np.array(fn(mixed)).tobytes() == np.array(fn(state)).tobytes()
+        assert np.array_equal(mixed.position_density(), state.position_density())
+        assert np.array_equal(mixed.momentum_density(), state.momentum_density())
+    with pytest.raises(TypeError):
+        MixedPointerState(grid, state.position_density(), state.momentum_density())
+
+
+def test_sequential_zero_coupling_reads_the_bare_pointer(monkeypatch):
+    # A g = 0 coupling between two dense ones leaves its pointer the bare
+    # Gaussian: every packet it translates is the same one, and the other
+    # pointers' readouts are those of the chain without it.
+    rng = np.random.default_rng(2020)
+    pre, post = _selection_pair(rng, 4)
+    delta = 1.5
+    pt = make_gaussian(default_grid(delta, 0.1 * delta), delta)
+    operators = [_random_observable(rng, 4) for _ in range(3)]
+    gains = [0.07 * delta, 0.0, -0.05 * delta]
+    marginals, prob = sequential_couple(pre, list(zip(operators, gains, [pt] * 3)), post)
+    grid = pt.grid
+    for marginal in marginals:
+        rho_q, rho_p = marginal.position_density(), marginal.momentum_density()
+        assert rho_q.min() >= 0.0 and rho_p.min() >= 0.0
+        assert abs(rho_q.sum() * grid.spacing - 1.0) <= 1e-12
+        assert abs(rho_p.sum() * grid.momentum_spacing - 1.0) <= 1e-12
+    bare = moments(marginals[1])
+    assert abs(bare.mean_q) <= 1e-12 * delta
+    assert abs(bare.var_q - delta**2 / 2) <= 1e-12 * delta**2
+    assert abs(bare.mean_p) <= 1e-12 / delta
+    assert abs(bare.var_p - 1 / (2 * delta**2)) <= 1e-12 / delta**2
+    # Round-off weights on rows that cancel exactly. The packets of a g = 0
+    # coupling are one packet, and with pre = post uniform in dim 4 the
+    # weights are 1/16 in every entry: eigenvalue 1/4 on the uniform vector
+    # and 0 on the rest, taken here as the other columns of a Hadamard
+    # matrix (entries +-1/2, so their rows sum to exactly 0) and given
+    # 1e-300 each. Those zero rows are dropped.
+    eigh = np.linalg.eigh
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+
+    def with_round_off(matrix):
+        return np.array([0.25, 1e-300, 1e-300, 1e-300]), hadamard
+
+    uniform = np.full(4, 0.5)
+    monkeypatch.setattr(np.linalg, "eigh", with_round_off)
+    (marginal,), _ = sequential_couple(uniform, [(np.diag([1.0, 0.5, -0.5, -1.0]), 0.0, pt)],
+                                       uniform)
+    monkeypatch.undo()
+    assert marginal.components[1].shape[0] == 1
+    got = moments(marginal)
+    assert abs(got.var_q - delta**2 / 2) <= 1e-12 * delta**2
+    without, want_prob = sequential_couple(
+        pre, [(operators[0], gains[0], pt), (operators[2], gains[2], pt)], post)
+    assert prob == pytest.approx(want_prob, rel=1e-12)
+    for got, want in zip((marginals[0], marginals[2]), without):
+        assert np.allclose(moments(got), moments(want), rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- exports
@@ -985,8 +1094,9 @@ def test_moments_match_single_moment_functions():
     pre = np.array([0.8, 0.6], dtype=complex)
     state, _ = post_select(couple(pre, make_gaussian(grid, 1.0), SZ, g=0.7),
                            np.array([1.0, 1.0j]) / np.sqrt(2))
-    mixed = MixedPointerState(grid, state.position_density(), state.momentum_density())
-    for st in (state, mixed):
+    marginals, _ = sequential_couple(pre, [(SZ, 0.05, make_gaussian(grid, 1.0))] * 2,
+                                     np.array([1.0, 1.0j]) / np.sqrt(2))
+    for st in (state, marginals[0]):
         m = moments(st)
         assert m == (mean_q(st), var_q(st), mean_p(st), var_p(st))
         assert m.mean_p != 0.0
@@ -1064,6 +1174,34 @@ def test_band_moments_match_the_closed_form(n):
         assert abs(got.var_q - want_var) <= 2e-15 * want_var
 
 
+@pytest.mark.parametrize("n", [2**12, 2**16, 2**20])
+@needs_band_path
+def test_sample_path_matches_the_band_path(n, monkeypatch):
+    # Where numpy's long double is a double, states read their densities
+    # instead of their bands. On simulate's three grid scenarios and on
+    # sequential marginals the two paths agree within the closed-form
+    # bounds of test_band_moments_match_the_closed_form: 2e-16 delta in
+    # <Q> and 2e-15 relative in Var Q. The momentum moments share one path.
+    states = []
+    for ref, g in (("spin-amp/100", 1.3), ("spin-amp/1j", 0.7), ("three-box/C", 0.05)):
+        scenario = resolve(ref, g=g, grid_n=n)
+        states.append((scenario.run()[0], scenario.coupling.delta))
+    rng = np.random.default_rng(1234)
+    pre, post = _selection_pair(rng, 4)
+    for delta in (0.5, 2.0):
+        pt = make_gaussian(default_grid(delta, 0.1 * delta, n=n), delta)
+        couplings = [(_random_observable(rng, 4), 0.07 * delta, pt) for _ in range(3)]
+        states.extend((marginal, delta) for marginal in sequential_couple(pre, couplings, post)[0])
+    band = [moments(state) for state, _ in states]
+    monkeypatch.setattr(pointer, "_EXTENDED", False)
+    for (state, delta), want in zip(states, band):
+        assert not pointer._band_path(state.grid, state.components[0])
+        got = moments(state)
+        assert abs(got.mean_q - want.mean_q) <= 2e-16 * delta
+        assert abs(got.var_q - want.var_q) <= 2e-15 * want.var_q
+        assert (got.mean_p, got.var_p) == (want.mean_p, want.var_p)
+
+
 def test_wide_bands_read_the_samples_at_the_grid_cap():
     # A state built from samples holds the whole lattice as its band, and so
     # does one post-selected from it: their moments make one inverse FFT
@@ -1082,26 +1220,15 @@ def test_wide_bands_read_the_samples_at_the_grid_cap():
         assert got.var_q == pytest.approx(100.0**2 / 2, rel=1e-12)
 
 
-class _CorruptedDensities:
-    """A MixedPointerState-like readout whose momentum density carries 1e-6
-    more mass than its position density."""
-
-    def __init__(self, state):
-        self.grid = state.grid
-        self._rho_q = state.position_density()
-        self._rho_p = state.momentum_density() * (1.0 + 1e-6)
-
-    def position_density(self):
-        return self._rho_q
-
-    def momentum_density(self):
-        return self._rho_p
-
-
 def test_parseval_guard_in_moments():
-    grid = default_grid(1.0, 1.0)
-    state = make_gaussian(grid, 1.0)
-    bad = _CorruptedDensities(state)
+    # A state built from samples holds the whole lattice as its band, so its
+    # position moments read the samples. Handed a spectrum with 2e-6 more
+    # mass than its samples, moments trips the Parseval guard.
+    grid = default_grid(1.0, 1.0, n=512)
+    sampled = PointerState(grid, make_gaussian(grid, 1.0).samples)
+    band, spectrum = sampled.spectrum
+    assert not pointer._band_path(grid, band)
+    bad = PointerState._held(grid, band, spectrum * (1.0 + 1e-6), sampled.samples)
     for fn in (moments, mean_p, var_p):
         with pytest.raises(NumericalGuardError, match="Parseval"):
             fn(bad)

@@ -309,14 +309,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     values = sorted(spec.values)
 
     if spec.parameter == "n_trials":
-        names = [
-            "n_trials",
-            "wv_estimate",
-            "std_error",
-            "acceptance_rate",
-            "n_accepted",
-            "probability",
-        ]
+        names = ["n_trials", "wv_estimate", "std_error", "acceptance_rate", "n_accepted",
+                 "probability"]
         probability = base.run()[1]
         # Trial k does not depend on n, so each prefix of one draw is the
         # run estimate_weak_value would make at that n. A prefix with no
@@ -335,37 +329,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows.append([int(value), *estimates, probability])
         extras = {"sweep": args.sweep, "seed": args.seed, "rng_stream": montecarlo.RNG_STREAM}
     else:
-        names = [
-            spec.parameter,
-            "mean_Q",
-            "var_Q",
-            "mean_P",
-            "var_P",
-            "probability",
-            "gaussian_fidelity",
-            "shift_over_g",
-        ]
+        names = [spec.parameter, "mean_Q", "var_Q", "mean_P", "var_P", "probability",
+                 "gaussian_fidelity", "shift_over_g"]
         rows = []
         for value in values:
             scenario = with_overrides(base, **{spec.parameter: value})
             summary = _simulate_summary(scenario)
             g = scenario.coupling.g
             shift_over_g = summary["mean_Q"] / g if g != 0.0 else float("nan")
-            rows.append(
-                [
-                    value,
-                    summary["mean_Q"],
-                    summary["var_Q"],
-                    summary["mean_P"],
-                    summary["var_P"],
-                    summary["probability"],
-                    summary["gaussian_fidelity"],
-                    shift_over_g,
-                ]
-            )
+            rows.append([value, *(summary[k] for k in names[1:-1]), shift_over_g])
         extras = {"sweep": args.sweep}
 
-    columns = [[row[i] for row in rows] for i in range(len(names))]
+    columns = list(zip(*rows))
     delimiter = _delimiter(args)
     textout.write_table(sys.stdout, names, columns, None, delimiter)
     if args.out:

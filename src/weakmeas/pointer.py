@@ -48,6 +48,10 @@ WEAK_GUARD_RTOL = 1e-12
 # Caps on _sequential_cost, set from a 10 s / 2 GB budget (README).
 SEQUENTIAL_WORK_CAP = 2**34
 SEQUENTIAL_HELD_CAP = 2**26
+# Work charged per coupling for what its size does not show (its eigh and
+# inverse FFT calls, sweep steps and state): about 0.27 ms at the work cap's
+# rate of 2^34 per 10 s, timed on dim-2 couplings of n = 256 pointers.
+_COUPLING_WORK = 2**19
 
 
 @dataclass(frozen=True)
@@ -911,9 +915,10 @@ def _translated_spectra(
     grid: PointerGrid, band: slice, spectrum: np.ndarray, g: float, values
 ) -> np.ndarray:
     """The spectrum (values on grid.momenta_sorted[band]) of a packet
-    translated by g*value, one row per value."""
-    return np.stack([spectrum * _translation_kernel(grid, g, [value], [1.0], band)
-                     for value in values])
+    translated by g*value, one row per value: the spectrum times
+    exp(-i g value p), with every row's phases from one outer product."""
+    angle = np.multiply.outer(g * np.asarray(values, dtype=float), grid._momenta_on(band))
+    return spectrum * (np.cos(angle) - 1j * np.sin(angle))
 
 
 def _spread(matrix: np.ndarray, sizes: list[int]) -> np.ndarray:
@@ -977,11 +982,13 @@ def _sequential_cost(
     per distinct operator (m = dim) and one per coupling's weights. Per
     coupling the sweep (_branch_weights) costs 5 dim^3 and holds 3 dim^2;
     the overlaps and rows cost m^2 w each, and the batched inverse FFT and
-    weighted sum 32 log2(n) per entry of the m x n packets. The spectra,
-    rows, overlaps and weights (2 m (w + m)) and each n-point density stay
-    alive; one coupling at a time adds three arrays of its packets' size.
+    weighted sum 32 log2(n) per entry of the m x n packets. Each coupling
+    also counts _COUPLING_WORK for its fixed Python and small-array cost.
+    The spectra, rows, overlaps and weights (2 m (w + m)) and each n-point
+    density stay alive; one coupling at a time adds three arrays of its
+    packets' size.
     """
-    work = (5 * len(pointers) + 18 * operators) * dim**3
+    work = (5 * len(pointers) + 18 * operators) * dim**3 + _COUPLING_WORK * len(pointers)
     work += sum(m * (18 * m * m + 2 * m * w + 32 * n * (n.bit_length() - 1))
                 for m, w, n in pointers)
     held = 3 * len(pointers) * dim * dim + 3 * max(m * n for m, _, n in pointers)
@@ -1056,19 +1063,27 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
     shapes = [(ptr.spectrum[0].stop - ptr.spectrum[0].start, ptr.grid.n)
               for _, _, ptr in couplings]
     _check_cost(*_sequential_cost(dim, len(operators), [(1, w, n) for w, n in shapes]))
-    decompositions = {key: linalg.eig_hermitian(op) for key, op in operators.items()}
+    # Per distinct operator: its decomposition, cluster values, cluster
+    # sizes and largest |eigenvalue|, shared by every coupling through it.
+    decompositions = {}
+    for key, op in operators.items():
+        eig = linalg.eig_hermitian(op)
+        clusters = eig.clusters()
+        decompositions[key] = (eig, np.array([value for value, _ in clusters]),
+                               [idx.size for _, idx in clusters],
+                               float(np.max(np.abs(eig.eigenvalues))))
     distinct = {id(ptr): ptr for _, _, ptr in couplings}
     widths = {key: sqrt(2.0 * var_q(ptr)) for key, ptr in distinct.items()}  # sqrt(2 Var Q)
 
     cluster_values: list[np.ndarray] = []
     bases: list[tuple[np.ndarray, list[int]]] = []
     for k, (operator, g, ptr) in enumerate(couplings):
-        eig = decompositions[id(operator)]
+        eig, values, sizes, largest = decompositions[id(operator)]
         if eig.dim != dim:
             raise DimensionMismatchError(
                 f"coupling {k}: operator dimension {eig.dim} != system dimension {dim}"
             )
-        shift = abs(g) * float(np.max(np.abs(eig.eigenvalues)))
+        shift = abs(g) * largest
         width = widths[id(ptr)]
         if shift > width / 10.0 * (1.0 + WEAK_GUARD_RTOL):
             raise GridGuardError(
@@ -1077,9 +1092,8 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
             )
         if shift > 0.25 * ptr.grid.extent:
             raise GridGuardError(f"coupling {k}: translation would wrap around the grid")
-        clusters = eig.clusters()
-        cluster_values.append(np.array([value for value, _ in clusters]))
-        bases.append((eig.eigenvectors, [idx.size for _, idx in clusters]))
+        cluster_values.append(values)
+        bases.append((eig.eigenvectors, sizes))
     _check_cost(*_sequential_cost(
         dim, len(operators), [(v.size, w, n) for v, (w, n) in zip(cluster_values, shapes)]
     ))

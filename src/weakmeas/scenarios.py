@@ -378,7 +378,7 @@ def resolve(
 
 
 def _format_amplitudes(v: np.ndarray) -> str:
-    return " ".join(textout.format_number(complex(z)) for z in v)
+    return " ".join(textout.format_value(complex(z)) for z in v)
 
 
 def _parse_complex(token: str) -> complex:

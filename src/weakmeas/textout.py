@@ -7,7 +7,6 @@ float64 values exactly and identical runs produce identical bytes.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -15,19 +14,10 @@ import numpy as np
 
 SIG_FIGS = 17
 _FMT = f".{SIG_FIGS}g"
-_FORMAT_FLOAT = f"{{:{_FMT}}}".format
+# Table cell templates by dtype kind; '%.17g' renders a float as format(x, _FMT).
+_CELL = {"b": "%d", "i": "%d", "u": "%d", "f": f"%{_FMT}"}
 # Rows formatted and written per write call; bounds the memory of the text.
 ROWS_PER_WRITE = 2**12
-
-
-def format_number(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, complex):
-        return f"{format(x.real, _FMT)},{format(x.imag, _FMT)}"
-    return format(float(x), _FMT)
 
 
 def format_value(x) -> str:
@@ -35,7 +25,13 @@ def format_value(x) -> str:
         return x
     if x is None:
         return "nan"
-    return format_number(x)
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, complex):
+        return f"{format(x.real, _FMT)},{format(x.imag, _FMT)}"
+    return format(float(x), _FMT)
 
 
 @contextlib.contextmanager
@@ -47,24 +43,10 @@ def _open_target(target):
             yield fh
 
 
-def _format_column(column) -> list[str]:
-    """The cells of one column as text, by the rule ``format_value`` applies
-    to them; numpy arrays are formatted by dtype, without per-cell dispatch."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "b":
-            return np.where(column, "1", "0").tolist()
-        if kind in "iu":
-            return list(map(str, column.tolist()))
-        if kind == "f":
-            return list(map(_FORMAT_FLOAT, column.tolist()))
-    return [format_value(x) for x in column]
-
-
-def _header_lines(header: Mapping[str, object] | None) -> list[str]:
-    if not header:
-        return []
-    return [f"# {key} = {format_value(value)}" for key, value in header.items()]
+def _lines(mapping: Mapping[str, object] | None, prefix: str) -> str:
+    """One ``{prefix}key = value`` line per entry."""
+    return "".join(f"{prefix}{key} = {format_value(value)}\n"
+                   for key, value in (mapping or {}).items())
 
 
 def write_table(
@@ -74,19 +56,28 @@ def write_table(
     header: Mapping[str, object] | None = None,
     delimiter: str = "\t",
 ) -> None:
-    """Write parallel columns as delimited text with '#' comment headers."""
-    cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    """Write parallel columns as delimited text with '#' comment headers.
+
+    Each column is taken as a one-dimensional array: bool and integer
+    columns print as integers (true as 1), float columns with 17
+    significant digits (nan, inf, -inf, -0). Any other column (complex,
+    object, str) raises ValueError before anything is written.
+    """
+    cols = [np.asarray(c) for c in columns]
     if len(cols) != len(column_names):
         raise ValueError("column_names and columns length mismatch")
+    for name, c in zip(column_names, cols):
+        if c.ndim != 1 or c.dtype.kind not in _CELL:
+            raise ValueError(f"column {name!r}: not a 1-D bool, integer or float array")
     n_rows = len(cols[0]) if cols else 0
     if any(len(c) != n_rows for c in cols):
         raise ValueError("columns have unequal lengths")
-    head = _header_lines(header) + ["# columns: " + delimiter.join(column_names)]
+    row = delimiter.replace("%", "%%").join(_CELL[c.dtype.kind] for c in cols) + "\n"
     with _open_target(target) as fh:
-        fh.write("\n".join(head) + "\n")
+        fh.write(_lines(header, "# ") + "# columns: " + delimiter.join(column_names) + "\n")
         for lo in range(0, n_rows, ROWS_PER_WRITE):
-            cells = [_format_column(c[lo:lo + ROWS_PER_WRITE]) for c in cols]
-            fh.write("\n".join(map(delimiter.join, zip(*cells))) + "\n")
+            hi = lo + ROWS_PER_WRITE
+            fh.write("".join(map(row.__mod__, zip(*(c[lo:hi].tolist() for c in cols)))))
 
 
 def write_keyvalues(
@@ -96,13 +87,8 @@ def write_keyvalues(
 ) -> None:
     """Write a flat key = value document."""
     with _open_target(target) as fh:
-        for line in _header_lines(header):
-            fh.write(line + "\n")
-        for key, value in mapping.items():
-            fh.write(f"{key} = {format_value(value)}\n")
+        fh.write(_lines(header, "# ") + _lines(mapping, ""))
 
 
 def render_keyvalues(mapping: Mapping[str, object]) -> str:
-    buf = io.StringIO()
-    write_keyvalues(buf, mapping)
-    return buf.getvalue()
+    return _lines(mapping, "")

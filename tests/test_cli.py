@@ -17,7 +17,7 @@ from weakmeas import (
     serialize_scenario,
     three_box,
 )
-from weakmeas import cli, linalg, pointer, resolve, scenarios, textout
+from weakmeas import cli, linalg, montecarlo, pointer, resolve, scenarios, textout
 from weakmeas.cli import SweepSpec, main, parse_sweep
 from weakmeas.errors import DimensionMismatchError, SweepSpecError
 
@@ -201,6 +201,25 @@ def test_sample_stdout_and_files(tmp_path, capsys):
     assert "# seed = 7" in runs
     report = (outdir / "report.txt").read_text()
     assert "wv_estimate = " in report
+
+
+def test_sample_runs_file_matches_per_cell_formatting(tmp_path, capsys):
+    # runs.tsv is the per-cell format_value rendering of run_records'
+    # columns, '#' header lines included; rejected trials read nan.
+    code, _, _ = run_cli(capsys, "sample", "--scenario", "three-box/C", "--n", "700",
+                         "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    scenario = resolve("three-box/C")
+    records = montecarlo.run_records(3, 700, scenario)
+    header = cli._header(scenario, "sample",
+                         {"seed": 3, "n": 700, "rng_stream": montecarlo.RNG_STREAM})
+    lines = [f"# {key} = {textout.format_value(value)}" for key, value in header.items()]
+    lines.append("# columns: trial\taccepted\treadout_q\trng_stream_id")
+    columns = [range(700), records.accepted.tolist(), records.readout_q.tolist(),
+               records.rng_stream_id.tolist()]
+    lines += ["\t".join(map(textout.format_value, row)) for row in zip(*columns)]
+    assert 0 < records.accepted.sum() < 700
+    assert (tmp_path / "runs.tsv").read_text() == "".join(line + "\n" for line in lines)
 
 
 def test_sample_deterministic(capsys):

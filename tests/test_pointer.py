@@ -771,6 +771,30 @@ def test_sequential_refuses_before_any_eigh(monkeypatch):
     assert calls == [] and eighs == []
 
 
+def test_sequential_charges_a_fixed_cost_per_coupling(monkeypatch):
+    # Dim-2 couplings of n = 256 pointers cost ~0.27 ms each whatever their
+    # size. With two clusters each, 26142 of them pass the work cap and
+    # 26143 do not (one eigh, then refused); with the pre-eigh estimate's
+    # single cluster 29104 pass and 29105 are refused before any eigh.
+    pt = make_gaussian(default_grid(1.0, 0.1, n=256), 1.0)
+    w, n = _band_width(pt), 256
+
+    def work(count, m):
+        return pointer._sequential_cost(2, 1, [(m, w, n)] * count)[0] / pointer.SEQUENTIAL_WORK_CAP
+
+    assert work(26142, 2) <= 1.0 < work(26143, 2)
+    assert work(29104, 1) <= 1.0 < work(29105, 1)
+    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    calls = _count_calls(monkeypatch, linalg, "eig_hermitian")
+    for count, eighs in ((29105, 0), (26143, 1)):
+        start = time.perf_counter()
+        with pytest.raises(DimensionMismatchError, match="work .* exceeds the cap"):
+            sequential_couple(psi, [(SZ, 0.05, pt)] * count, psi)
+        assert time.perf_counter() - start < 1.0
+        assert len(calls) == eighs
+        calls.clear()
+
+
 @pytest.mark.parametrize("k_total, dim", [(11, 4), (22, 2)])
 def test_sequential_many_couplings_within_budget(k_total, dim):
     # 4^11 and 2^22 branch sequences. The sweep's cost grows as K dim^3, not
@@ -1066,6 +1090,38 @@ def test_branches_are_translated_packets_built_on_request():
         assert branch.weight == pytest.approx(weight, rel=1e-12)
         shifted = make_gaussian(grid, 1.0, center=branch.eigenvalue)
         assert np.max(np.abs(branch.pointer.samples - shifted.samples)) < 1e-12
+
+
+def _translation_pointers():
+    for n in (256, 4096, 2**19):
+        yield make_gaussian(default_grid(1.0, 0.3, n=n), 1.0)
+        yield make_gaussian(PointerGrid(n, -7.0, 13.0), 1.0, center=3.0)  # off-centre
+    for n in (256, 2**16):  # sample-built: the spectrum spans the whole lattice
+        grid = PointerGrid(n, -20.0, 24.0)
+        q = grid.points
+        yield PointerState(grid, np.pi**-0.25 * np.exp(-((q - 1.0) ** 2) / 2 + 0.3j * q))
+
+
+def test_translated_spectra_match_the_translation_kernel_bit_for_bit():
+    # One outer product of phases builds every row as post_select's kernel
+    # would, sign bits included. The reference multiplies spectrum by kernel
+    # in that order: written as ``spectrum * kernel`` on a temporary kernel of
+    # 2^14 bins or more, numpy multiplies in the kernel's buffer with the
+    # operands swapped, which moves some entries by one ulp.
+    values = [0.0, -0.0, 1.0, -1.0, 0.6, -0.4, 1e-300]
+    for pt in _translation_pointers():
+        grid, (band, spectrum) = pt.grid, pt.spectrum
+        for g in (0.0, -0.0, 0.05, -0.7):
+            rows = pointer._translated_spectra(grid, band, spectrum, g, values)
+            for row, value in zip(rows, values):
+                kernel = pointer._translation_kernel(grid, g, [value], [1.0], band)
+                assert row.tobytes() == np.multiply(spectrum, kernel).tobytes()
+        operator = np.diag([0.5, -0.0, -1.0]).astype(complex)
+        joint = couple(np.ones(3) / np.sqrt(3.0), pt, operator, g=-0.05)
+        for branch in joint.branches:
+            kernel = pointer._translation_kernel(grid, -0.05, [branch.eigenvalue], [1.0], band)
+            assert branch.pointer.spectrum[0] == band
+            assert branch.pointer.spectrum[1].tobytes() == np.multiply(spectrum, kernel).tobytes()
 
 
 def test_unitarity_guard_trips_on_non_orthonormal_eigenvectors():

@@ -1,6 +1,7 @@
 import io
 
 import numpy as np
+import pytest
 
 from weakmeas import textout
 
@@ -25,8 +26,7 @@ def test_write_table_matches_per_cell_formatting(monkeypatch):
         floats,
         np.array([0, 1, 2**53 + 1, 2**63, 2**64 - 1, 5, 6, 7], dtype=np.uint64),
         (floats * (1 + 2j)).imag,  # strided view
-        floats + 0.5j,
-        [1, 2.5, None, True, 1 + 2j, "x", np.float64(0.1), np.int64(-3)],
+        np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, -1.5, 2.0**70, 7.0]),
     ]
     names = [f"c{i}" for i in range(len(columns))]
     header = {"seed": 4, "g": 0.05, "label": "t"}
@@ -40,3 +40,20 @@ def test_write_table_matches_per_cell_formatting(monkeypatch):
     buf = io.StringIO()
     textout.write_table(buf, ["a"], [np.array([])], None)
     assert buf.getvalue() == "# columns: a\n"
+
+
+@pytest.mark.parametrize("column", [
+    np.array([1.0, 0.5j]),
+    [2.5, None],
+    [2.5, 1 + 2j],
+    ["x", "y"],
+], ids=["complex", "none", "mixed-complex", "str"])
+def test_write_table_refuses_other_columns_before_writing(column, tmp_path):
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        textout.write_table(buf, ["a", "b"], [np.arange(2), column], {"seed": 1})
+    assert buf.getvalue() == ""
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError):
+        textout.write_table(path, ["a", "b"], [np.arange(2), column])
+    assert not path.exists()

@@ -286,6 +286,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.out and args.n > montecarlo.MAX_EXPORT_TRIALS:
+        raise InputError(
+            f"--out exports at most {montecarlo.MAX_EXPORT_TRIALS} trials, got --n {args.n}"
+        )
     scenario = _scenario_from_args(args)
     records = montecarlo.run_records(args.seed, args.n, scenario)
     report = montecarlo.estimate_from_records(records, scenario.coupling.g)

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -321,3 +322,27 @@ def test_trial_cap_rejects_before_drawing(capsys):
         ["scan", "--scenario", "three-box/C", "--sweep", f"n_trials=10,{cap + 1}"]
     ) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_export_cap_rejects_before_drawing(tmp_path, capsys, monkeypatch):
+    cap = montecarlo.MAX_EXPORT_TRIALS
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["sample", "--scenario", "three-box/C", "--n", str(cap + 1), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "exports at most" in capsys.readouterr().err
+    # drawing cap + 1 trials would take seconds
+    assert elapsed < 0.5
+    assert not list(tmp_path.rglob("runs.*"))
+    # At a small cap: cap trials export, cap + 1 do not, and without --out
+    # this cap does not apply.
+    monkeypatch.setattr(montecarlo, "MAX_EXPORT_TRIALS", 50)
+    argv = ["sample", "--scenario", "three-box/C", "--seed", "2"]
+    assert main([*argv, "--n", "50", "--out", str(out)]) == 0
+    rows = [line for line in (out / "runs.tsv").read_text().splitlines() if line[0] != "#"]
+    assert len(rows) == 50
+    (out / "runs.tsv").unlink()
+    assert main([*argv, "--n", "51", "--out", str(out)]) == 2
+    assert not (out / "runs.tsv").exists()
+    assert main([*argv, "--n", "51"]) == 0

@@ -22,7 +22,7 @@ from .errors import (
     WeakMeasError,
     ZeroAcceptedError,
 )
-from .linalg import EigenDecomposition, eig_hermitian, require_hermitian, tensor_product
+from .linalg import EigenDecomposition, eig_hermitian, require_hermitian
 from .montecarlo import (
     EstimateReport,
     RunRecord,
@@ -33,7 +33,6 @@ from .montecarlo import (
     sample_run,
 )
 from .pointer import (
-    Branch,
     CouplingConfig,
     JointState,
     MixedPointerState,
@@ -68,7 +67,6 @@ from .twostate import TwoStateVector, eigen_probabilities, expectation, weak_val
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "ConvergenceError",
     "CouplingConfig",
     "DimensionMismatchError",
@@ -118,7 +116,6 @@ __all__ = [
     "sequential_couple",
     "serialize_scenario",
     "spin_amplification",
-    "tensor_product",
     "three_box",
     "var_p",
     "var_q",

@@ -32,6 +32,15 @@ from .errors import InputError, NumericalGuardError, PhysicsUndefinedError, Swee
 from .scenarios import Scenario, document_fingerprint, resolve, serialize_scenario, with_overrides
 
 SWEEP_PARAMETERS = ("g", "delta", "n_trials")
+# Largest number of sweep values, checked before any array of them is
+# built. A g or delta point of a registry scenario costs 0.4-0.7 ms: scans
+# of 10^4 points took 5.3-6.5 s at 43 MB (2-core Xeon, 10 s / 2 GB budget).
+MAX_SWEEP_POINTS = 10_000
+# Largest sum of an n_trials sweep's values. Each value is a prefix of one
+# draw, reduced from scratch at 4.5-14 ns per trial (acceptance 0.11 to 1),
+# so the prefixes take at most about 1.4 s beside the draw of the largest,
+# which montecarlo.MAX_TRIALS bounds.
+MAX_SWEEP_TRIALS = 10**8
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,7 +58,10 @@ class SweepSpec:
 
 def parse_sweep(text: str) -> SweepSpec:
     """Parse ``param=v1,v2,...`` or ``param=lin:start:stop:points`` or
-    ``param=log:start:stop:points``."""
+    ``param=log:start:stop:points``.
+
+    More than MAX_SWEEP_POINTS values, or n_trials values summing to more
+    than MAX_SWEEP_TRIALS, raise SweepSpecError."""
     parameter, sep, rest = text.partition("=")
     parameter = parameter.strip()
     rest = rest.strip()
@@ -70,6 +82,8 @@ def parse_sweep(text: str) -> SweepSpec:
             raise SweepSpecError(f"malformed range sweep {rest!r}") from exc
         if points < 2:
             raise SweepSpecError(f"range sweep needs at least 2 points, got {points}")
+        if points > MAX_SWEEP_POINTS:
+            raise SweepSpecError(f"sweep of {points} points exceeds the cap {MAX_SWEEP_POINTS}")
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise SweepSpecError("range sweep bounds must be finite")
         if kind == "log":
@@ -79,12 +93,17 @@ def parse_sweep(text: str) -> SweepSpec:
         else:
             values = np.linspace(start, stop, points)
     else:
+        tokens = [tok for tok in rest.split(",") if tok.strip()]
+        if not tokens:
+            raise SweepSpecError("sweep needs at least one value")
+        if len(tokens) > MAX_SWEEP_POINTS:
+            raise SweepSpecError(
+                f"sweep of {len(tokens)} values exceeds the cap {MAX_SWEEP_POINTS}"
+            )
         try:
-            values = np.array([float(tok) for tok in rest.split(",") if tok.strip()])
+            values = np.array([float(tok) for tok in tokens])
         except ValueError as exc:
             raise SweepSpecError(f"malformed sweep values {rest!r}") from exc
-        if values.size < 1:
-            raise SweepSpecError("sweep needs at least one value")
     if not np.all(np.isfinite(values)):
         raise SweepSpecError("sweep values must be finite")
     if parameter == "delta" and np.any(values <= 0):
@@ -92,6 +111,11 @@ def parse_sweep(text: str) -> SweepSpec:
     if parameter == "n_trials":
         if np.any(values < 1) or np.any(values != np.round(values)):
             raise SweepSpecError("n_trials sweep values must be positive integers")
+        total = float(values.sum())
+        if total > MAX_SWEEP_TRIALS:
+            raise SweepSpecError(
+                f"n_trials sweep values sum to {total:.0f} trials, over the cap {MAX_SWEEP_TRIALS}"
+            )
     return SweepSpec(parameter=parameter, values=tuple(float(v) for v in values))
 
 

@@ -84,68 +84,6 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
-def inner_product(a, b) -> complex:
-    """Hermitian inner product <a|b> = sum_k conj(a_k) b_k.
-
-    Conjugate-linear in the first argument, linear in the second.
-    """
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.size} vs {b.size}")
-    return complex(np.vdot(a, b))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def normalized(v) -> np.ndarray:
-    v = as_vector(v)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise InputError("cannot normalize the zero vector")
-    return v / n
-
-
-def apply(m, v) -> np.ndarray:
-    """Matrix-vector product m @ v with dimension checking."""
-    m = as_operator(m)
-    v = as_vector(v)
-    if m.shape[1] != v.size:
-        raise DimensionMismatchError(
-            f"operator dimension {m.shape[1]} does not match vector dimension {v.size}"
-        )
-    return m @ v
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or of two operators.
-
-    For vectors, entry (i * dim(b) + j) = a_i * b_j; for square operators,
-    block (i, j) = a_ij * b. The product's dimension dim(a) * dim(b) is
-    capped at MAX_DIM, as every operator's is, and checked before it is
-    built.
-    """
-    first = np.asarray(a, dtype=complex)
-    second = np.asarray(b, dtype=complex)
-    if first.ndim != second.ndim or first.ndim not in (1, 2):
-        raise DimensionMismatchError(
-            "tensor_product needs two vectors or two square operators, got shapes "
-            f"{first.shape} and {second.shape}"
-        )
-    if first.ndim == 1:
-        first, second = as_vector(first), as_vector(second)
-    else:
-        first, second = as_operator(first), as_operator(second)
-    dim = first.shape[0] * second.shape[0]
-    if dim > MAX_DIM:
-        raise DimensionMismatchError(
-            f"tensor product dimension {dim} exceeds the supported cap {MAX_DIM}"
-        )
-    return np.kron(first, second)
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix.

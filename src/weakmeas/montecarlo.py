@@ -21,7 +21,7 @@ independent of batch size or chunking. Trials are kept as columns
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class RunRecord:
 class TrialColumns:
     """Trials 0..n-1 of a sampling run, one array per field.
 
-    ``readout_q`` is NaN for rejected trials. Indexing and iteration give
-    ``RunRecord`` rows.
+    ``readout_q`` is NaN for rejected trials.
     """
 
     accepted: np.ndarray
@@ -68,19 +67,6 @@ class TrialColumns:
 
     def __len__(self) -> int:
         return self.accepted.size
-
-    def __getitem__(self, trial: int) -> RunRecord:
-        trial = range(len(self))[trial]
-        accepted = bool(self.accepted[trial])
-        return RunRecord(
-            trial_index=trial,
-            accepted=accepted,
-            readout_q=float(self.readout_q[trial]) if accepted else None,
-            rng_stream_id=int(self.rng_stream_id[trial]),
-        )
-
-    def __iter__(self):
-        return (self[trial] for trial in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialColumns):
@@ -134,10 +120,13 @@ def _context(scenario: Scenario, seed: int) -> _TrialContext:
     )
 
 
-def _check_seed(seed: int, label: str = "seed") -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InputError(f"{label} must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+def _check_integer(value, label: str, least: int = 0) -> int:
+    """``value`` as an int; InputError unless it is a non-bool integer of at
+    least ``least``: 0 (nonnegative) or 1 (positive)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise InputError(f"{label} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def _lanes(key: np.ndarray, start: int, stop: int):
@@ -166,10 +155,16 @@ def sample_run(seed: int, trial: int, scenario: Scenario) -> RunRecord:
     Bit-for-bit deterministic: the same arguments always produce the same
     record, whether drawn alone or as part of a batch.
     """
-    seed = _check_seed(seed)
-    trial = _check_seed(trial, "trial index")
-    record = _draw(_context(scenario, seed), trial, trial + 1)[0]
-    return replace(record, trial_index=trial)
+    seed = _check_integer(seed, "seed")
+    trial = _check_integer(trial, "trial index")
+    draw = _draw(_context(scenario, seed), trial, trial + 1)
+    accepted = bool(draw.accepted[0])
+    return RunRecord(
+        trial_index=trial,
+        accepted=accepted,
+        readout_q=float(draw.readout_q[0]) if accepted else None,
+        rng_stream_id=int(draw.rng_stream_id[0]),
+    )
 
 
 def run_records(seed: int, n_trials: int, scenario: Scenario) -> TrialColumns:
@@ -177,10 +172,8 @@ def run_records(seed: int, n_trials: int, scenario: Scenario) -> TrialColumns:
 
     More than MAX_TRIALS trials raise InputError before anything is drawn.
     """
-    seed = _check_seed(seed)
-    n = _check_seed(n_trials, "n_trials")
-    if n < 1:
-        raise InputError(f"n_trials must be a positive integer, got {n_trials!r}")
+    seed = _check_integer(seed, "seed")
+    n = _check_integer(n_trials, "n_trials", 1)
     if n > MAX_TRIALS:
         raise InputError(f"n_trials {n} exceeds the cap {MAX_TRIALS}")
     ctx = _context(scenario, seed)

@@ -94,13 +94,6 @@ class PointerGrid:
         return q
 
     @cached_property
-    def momenta(self) -> np.ndarray:
-        """Momentum lattice in FFT storage order."""
-        p = 2.0 * pi * np.fft.fftfreq(self.n, d=self.spacing)
-        p.setflags(write=False)
-        return p
-
-    @cached_property
     def momenta_sorted(self) -> np.ndarray:
         """Momentum lattice in ascending order (fft-shifted)."""
         p = self._momenta_on(slice(0, self.n))
@@ -242,24 +235,12 @@ class PointerState:
         rho *= rho
         return rho
 
-    def momentum_wavefunction(self) -> np.ndarray:
-        """Momentum amplitudes on grid.momenta_sorted.
-
-        Discretization of phi(p) = (2 pi)^(-1/2) integral psi(q) e^(-ipq) dq,
-        so sum |phi|^2 dp equals sum |psi|^2 dq (Parseval).
-        """
-        grid = self.grid
-        band, values = self.spectrum
-        phi = np.zeros(grid.n, dtype=complex)
-        phi[band] = values * (grid.spacing / sqrt(2.0 * pi))
-        phi[band] *= np.exp(-1j * grid._momenta_on(band) * grid.q_min)
-        return phi
-
     def momentum_density(self) -> np.ndarray:
         """|phi(p)|^2 on grid.momenta_sorted; integrates to 1 with weight dp.
 
-        The factor exp(-i p q_min) of momentum_wavefunction has unit
-        modulus, so the density is |spectrum|^2 dq^2 / (2 pi).
+        phi(p) = (2 pi)^(-1/2) integral psi(q) e^(-ipq) dq is, on the
+        lattice, spectrum * dq / sqrt(2 pi) * exp(-i p q_min); the phase has
+        unit modulus, so the density is |spectrum|^2 dq^2 / (2 pi).
         """
         return _momentum_density(self)
 
@@ -673,24 +654,6 @@ def gaussian_fidelity(state: PointerState, reference_shift: float, delta: float)
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One eigenvalue branch of a coupled system-pointer state.
-
-    ``system_vec`` is the (unnormalized) projection of the system state
-    onto the eigenspace; its squared norm is the branch weight. For a
-    nondegenerate eigenvalue it equals <o|psi> times the eigenvector.
-    """
-
-    eigenvalue: float
-    system_vec: np.ndarray
-    pointer: PointerState
-
-    @property
-    def weight(self) -> float:
-        return float(np.sum(np.abs(self.system_vec) ** 2))
-
-
-@dataclass(frozen=True)
 class JointState:
     """System-pointer state after one impulse coupling.
 
@@ -704,7 +667,8 @@ class JointState:
     system, coupled with strength g through their mean observable
     (1/copies) sum_k O^(k). The state is held in product form for
     post_select, which selects every copy on the same state: the basis,
-    clusters and system_dim are one copy's, and so are the branches.
+    clusters and system_dim are one copy's, and so are norm() and
+    position_density().
     """
 
     grid: PointerGrid
@@ -719,35 +683,28 @@ class JointState:
     def system_dim(self) -> int:
         return self.basis.dim
 
-    @cached_property
-    def branches(self) -> tuple[Branch, ...]:
-        """One Branch per cluster, its pointer translated by g*eigenvalue.
-
-        Built on first access with one batched inverse FFT; post_select
-        works from the spectrum and never needs them.
-        """
+    def _packets(self) -> tuple[list[float], np.ndarray]:
+        """Each cluster's weight |P_k psi|^2 and its pointer samples,
+        translated by g*eigenvalue: one batched inverse FFT, made on each
+        call. post_select works from the spectrum and never needs them."""
         grid, band = self.grid, self.band
         values = [value for value, _ in self.clusters]
         spectra = _translated_spectra(grid, band, self.spectrum, self.g, values)
-        packets = _inverse_fft(grid, band, spectra)
-        return tuple(
-            Branch(value, system_vec, PointerState._held(grid, band, spectrum, samples))
-            for (value, system_vec), spectrum, samples in zip(self.clusters, spectra, packets)
-        )
+        weights = [float(np.sum(np.abs(vec) ** 2)) for _, vec in self.clusters]
+        return weights, _inverse_fft(grid, band, spectra)
 
     def norm(self) -> float:
-        grid = self.grid
+        weights, packets = self._packets()
         total = 0.0
-        for branch in self.branches:
-            branch_sq = float(np.sum(np.abs(branch.pointer.samples) ** 2) * grid.spacing)
-            total += branch.weight * branch_sq
+        for weight, packet in zip(weights, packets):
+            total += weight * float(np.sum(np.abs(packet) ** 2) * self.grid.spacing)
         return sqrt(total)
 
     def position_density(self) -> np.ndarray:
         """Pointer position density with the system traced out (no selection)."""
         rho = np.zeros(self.grid.n)
-        for branch in self.branches:
-            rho += branch.weight * branch.pointer.position_density()
+        for weight, packet in zip(*self._packets()):
+            rho += weight * np.abs(packet) ** 2
         return rho
 
 
@@ -809,8 +766,8 @@ def couple(psi, pointer: PointerState, operator, g: float) -> JointState:
     -------
     JointState
         The pointer spectrum and, per distinct eigenvalue cluster o of O,
-        the eigenspace projection of psi; its ``branches`` carry the
-        pointer translated by g*o.
+        the eigenspace projection of psi, whose pointer is translated by
+        g*o.
 
     Raises
     ------

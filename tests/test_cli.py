@@ -96,6 +96,65 @@ def test_parse_sweep_rejections():
             parse_sweep(bad)
 
 
+def test_sweep_point_cap_refuses_before_building_values(capsys):
+    cap = cli.MAX_SWEEP_POINTS
+    assert len(parse_sweep(f"g=lin:0:0.2:{cap}").values) == cap
+    assert len(parse_sweep(f"delta=log:1:100:{cap}").values) == cap
+    tokens = ",".join(str(k) for k in range(1, cap + 1))
+    assert len(parse_sweep(f"delta={tokens}").values) == cap
+    over = (f"g=lin:0:0.2:{cap + 1}", f"delta=log:1:100:{cap + 1}", f"delta={tokens},1",
+            "g=lin:0:0.2:100000000")
+    tracemalloc.start()
+    try:
+        for text in over:
+            with pytest.raises(SweepSpecError, match="exceeds the cap"):
+                parse_sweep(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 10^8 points would take about 3 GB as an array and a tuple of floats;
+    # the list of cap + 1 tokens takes about 0.6 MB.
+    assert peak < 2**20
+    for text in over:
+        code, _, err = run_cli(capsys, "scan", "--scenario", "three-box/C", "--sweep", text)
+        assert code == 2
+        assert "exceeds the cap" in err
+
+
+def test_sweep_trial_cap_refuses_before_drawing(capsys, monkeypatch):
+    cap = cli.MAX_SWEEP_TRIALS
+    assert sum(parse_sweep(f"n_trials={cap // 2},{cap - cap // 2}").values) == cap
+    drawn = []
+    monkeypatch.setattr(montecarlo, "run_records", lambda *args: drawn.append(args))
+    start = time.perf_counter()
+    for text in (f"n_trials={cap // 2},{cap - cap // 2 + 1}",
+                 f"n_trials=lin:100:1000000:{cli.MAX_SWEEP_POINTS}"):
+        code, _, err = run_cli(capsys, "scan", "--scenario", "three-box/C", "--sweep", text)
+        assert code == 2
+        assert "over the cap" in err
+    # the prefixes of lin:100:1000000:10000 sum to 5e9 trials: 23 s to reduce
+    assert time.perf_counter() - start < 0.5
+    assert drawn == []
+    monkeypatch.undo()
+    # At a small cap, a sweep summing to the cap runs and one more trial
+    # does not.
+    monkeypatch.setattr(cli, "MAX_SWEEP_TRIALS", 30)
+    argv = ["scan", "--scenario", "three-box/C", "--seed", "1", "--sweep"]
+    code, out, _ = run_cli(capsys, *argv, "n_trials=10,20")
+    assert code == 0
+    assert len([line for line in out.splitlines() if line[0] != "#"]) == 2
+    code, _, err = run_cli(capsys, *argv, "n_trials=10,21")
+    assert code == 2
+    assert "over the cap 30" in err
+
+
+def test_bad_trial_count_has_one_message(capsys):
+    for n in ("-5", "0"):
+        code, _, err = run_cli(capsys, "sample", "--scenario", "three-box/C", "--n", n)
+        assert code == 2
+        assert f"n_trials must be a positive integer, got {n}" in err
+
+
 # ------------------------------------------------------------ commands
 
 

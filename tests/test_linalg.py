@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,40 +18,6 @@ def test_pauli_eigensystem():
     root_half = 1.0 / np.sqrt(2.0)
     assert np.allclose(eig.eigenvectors[:, 0], [root_half, -root_half], atol=1e-12)
     assert np.allclose(eig.eigenvectors[:, 1], [root_half, root_half], atol=1e-12)
-
-
-def test_inner_product_basics():
-    assert linalg.inner_product([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert linalg.inner_product([1, 0], [0, 1]) == pytest.approx(0.0)
-    half = np.array([1.0, 1.0]) / np.sqrt(2)
-    anti = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert linalg.inner_product(half, anti) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_inner_product_conjugate_symmetry():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        dim = int(rng.integers(1, 8))
-        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        lhs = linalg.inner_product(a, b)
-        rhs = np.conj(linalg.inner_product(b, a))
-        assert abs(lhs - rhs) <= 1e-15 * max(1.0, abs(lhs))
-
-
-def test_apply_examples_and_linearity():
-    v = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert np.allclose(linalg.apply(np.eye(2), v), v)
-    assert np.allclose(linalg.apply(np.diag([1.0, -1.0]), v), [v[0], -v[1]])
-    rng = np.random.default_rng(43)
-    for _ in range(100):
-        dim = int(rng.integers(2, 7))
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        lhs = linalg.apply(a + b, x)
-        rhs = linalg.apply(a, x) + linalg.apply(b, x)
-        assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, float(np.max(np.abs(lhs)))))
 
 
 def test_diagonal_passthrough():
@@ -151,74 +115,12 @@ def test_hermitian_tolerance_allows_roundoff():
 
 
 def test_dimension_checks():
-    with pytest.raises(DimensionMismatchError):
-        linalg.inner_product(np.ones(2), np.ones(3))
-    with pytest.raises(DimensionMismatchError):
-        linalg.apply(np.eye(2), np.ones(3))
+    with pytest.raises(DimensionMismatchError, match="dimension 3, expected 2"):
+        linalg.require_state(np.ones(3) / np.sqrt(3.0), 2)
     with pytest.raises(InputError):
         linalg.as_operator(np.ones((2, 3)))
     with pytest.raises(InputError):
         linalg.as_vector(np.ones((2, 2)))
-
-
-def test_inner_product_conjugates_first_argument():
-    a = np.array([1.0j, 0.0])
-    b = np.array([1.0, 0.0])
-    assert linalg.inner_product(a, b) == pytest.approx(-1.0j)
-
-
-def test_tensor_product_shapes_and_values():
-    sz = np.diag([1.0, -1.0])
-    eye = np.eye(2)
-    t = linalg.tensor_product(sz, eye)
-    assert t.shape == (4, 4)
-    assert np.allclose(np.diag(t), [1, 1, -1, -1])
-    v = linalg.tensor_product(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert np.allclose(v, [0, 1, 0, 0])
-    w = np.array([0.3, 0.4j, -0.5])
-    embedded = linalg.tensor_product(np.array([1.0, 0.0]), w)
-    assert np.allclose(embedded[:3], w)
-    assert np.allclose(embedded[3:], 0.0)
-
-
-def test_tensor_product_norm_and_associativity():
-    rng = np.random.default_rng(47)
-
-    def vec():
-        size = int(rng.integers(1, 5))
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
-
-    for _ in range(100):
-        a, b, c = vec(), vec(), vec()
-        ab = linalg.tensor_product(a, b)
-        assert np.linalg.norm(ab) == pytest.approx(
-            np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12
-        )
-        left = linalg.tensor_product(ab, c)
-        right = linalg.tensor_product(a, linalg.tensor_product(b, c))
-        assert np.allclose(left, right, atol=1e-15 * max(1.0, float(np.max(np.abs(left)))))
-
-
-def test_tensor_product_dimension_is_capped_before_it_is_built():
-    # 16 x 32 = MAX_DIM is accepted; 32 x 32 = 1024 would be an operator that
-    # every other function refuses, and np.kron would allocate 16 MiB for it.
-    assert linalg.tensor_product(np.eye(16), np.eye(32)).shape == (512, 512)
-    assert linalg.tensor_product(np.ones(16), np.ones(32)).shape == (512,)
-    big = np.eye(32)
-    tracemalloc.start()
-    try:
-        for a, b in ((big, big), (np.ones(32), np.ones(32))):
-            with pytest.raises(DimensionMismatchError, match="exceeds the supported cap"):
-                linalg.tensor_product(a, b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_normalized_rejects_zero_vector():
-    with pytest.raises(InputError):
-        linalg.normalized(np.zeros(3))
 
 
 def test_lapack_failure_raises_convergence_error(monkeypatch):

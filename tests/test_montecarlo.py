@@ -8,6 +8,7 @@ import pytest
 
 from weakmeas import (
     CouplingConfig,
+    RunRecord,
     Scenario,
     estimate_from_records,
     estimate_weak_value,
@@ -24,23 +25,35 @@ from weakmeas.cli import main
 from weakmeas.errors import InputError, ZeroAcceptedError
 
 
+def _record(columns, k):
+    """Trial k of a draw, as the RunRecord that sample_run returns for it."""
+    accepted = bool(columns.accepted[k])
+    readout_q = float(columns.readout_q[k]) if accepted else None
+    return RunRecord(k, accepted, readout_q, int(columns.rng_stream_id[k]))
+
+
 def test_single_trial_reproducible_and_indexed():
     sc = three_box("C")
     records = run_records(20, 50, sc)
-    assert [r.trial_index for r in records] == list(range(50))
+    assert len(records) == 50
     for trial in (0, 7, 49):
-        assert sample_run(20, trial, sc) == records[trial]
+        record = sample_run(20, trial, sc)
+        assert record.trial_index == trial
+        assert record == _record(records, trial)
     # a different seed changes the stream
     assert run_records(21, 50, sc) != records
 
 
 def test_rejected_trials_have_no_readout():
     sc = three_box("C")
-    for r in run_records(1, 200, sc):
-        if r.accepted:
-            assert r.readout_q is not None and math.isfinite(r.readout_q)
-        else:
-            assert r.readout_q is None
+    records = run_records(1, 200, sc)
+    assert 0 < records.accepted.sum() < 200
+    assert np.isfinite(records.readout_q[records.accepted]).all()
+    assert np.isnan(records.readout_q[~records.accepted]).all()
+    for k in np.flatnonzero(records.accepted)[:3]:
+        assert math.isfinite(sample_run(1, int(k), sc).readout_q)
+    for k in np.flatnonzero(~records.accepted)[:3]:
+        assert sample_run(1, int(k), sc).readout_q is None
 
 
 def test_acceptance_rate_matches_probability():
@@ -48,7 +61,7 @@ def test_acceptance_rate_matches_probability():
     _, prob = sc.run()
     n = 20000
     records = run_records(13, n, sc)
-    n_acc = sum(r.accepted for r in records)
+    n_acc = int(records.accepted.sum())
     sigma = math.sqrt(n * prob * (1 - prob))
     assert abs(n_acc - n * prob) < 5 * sigma
 
@@ -56,8 +69,8 @@ def test_acceptance_rate_matches_probability():
 def test_readout_distribution_moments():
     sc = three_box("C")
     state, _ = sc.run()
-    records = [r for r in run_records(2, 40000, sc) if r.accepted]
-    q = np.array([r.readout_q for r in records])
+    records = run_records(2, 40000, sc)
+    q = records.readout_q[records.accepted]
     se_mean = math.sqrt(var_q(state) / q.size)
     assert abs(q.mean() - mean_q(state)) < 5 * se_mean
     assert abs(q.var(ddof=1) - var_q(state)) < 5 * var_q(state) * math.sqrt(2.0 / q.size)
@@ -67,7 +80,7 @@ def test_estimate_recovers_weak_value():
     sc = three_box("C")
     report = estimate_weak_value(123, 30000, sc)
     assert report.n_total == 30000
-    assert report.n_accepted == sum(r.accepted for r in run_records(123, 30000, sc))
+    assert report.n_accepted == run_records(123, 30000, sc).accepted.sum()
     assert abs(report.wv_estimate - (-1.0)) < 5 * report.std_error
     assert report.acceptance_rate == pytest.approx(report.n_accepted / 30000)
 
@@ -85,7 +98,7 @@ def test_estimate_from_records_guards():
     with pytest.raises(ZeroAcceptedError):
         estimate_from_records(rejected, 0.05)
     with pytest.raises(InputError):
-        estimate_from_records(list(records), 0.05)
+        estimate_from_records([sample_run(3, k, sc) for k in range(3)], 0.05)
 
 
 def test_single_acceptance_gives_nan_error_bar():
@@ -106,17 +119,17 @@ def test_seed_validation():
         run_records(-1, 10, sc)
     with pytest.raises(InputError):
         run_records(True, 10, sc)
-    with pytest.raises(InputError):
-        run_records(0, 0, sc)
-    with pytest.raises(InputError):
-        run_records(0, True, sc)
+    # One message for every bad trial count.
+    for bad in (-5, 0, True, 1.5):
+        with pytest.raises(InputError, match="n_trials must be a positive integer"):
+            run_records(0, bad, sc)
+    assert len(run_records(0, 1, sc)) == 1
 
 
 def test_stream_ids_are_distinct():
     sc = three_box("C")
     records = run_records(9, 500, sc)
-    ids = {r.rng_stream_id for r in records}
-    assert len(ids) == 500
+    assert np.unique(records.rng_stream_id).size == 500
 
 
 def test_write_runs_and_report_format():
@@ -155,7 +168,8 @@ def test_two_sigma_interval_coverage():
 
 def test_accepted_readouts_are_uncorrelated():
     sc = three_box("C")
-    q = np.array([r.readout_q for r in run_records(2, 40000, sc) if r.accepted])
+    records = run_records(2, 40000, sc)
+    q = records.readout_q[records.accepted]
     centered = q - q.mean()
     rho1 = np.sum(centered[:-1] * centered[1:]) / np.sum(centered**2)
     assert abs(rho1) <= 4.0 / math.sqrt(q.size)
@@ -168,7 +182,7 @@ def test_zero_coupling_acceptance_is_overlap_squared():
     _, prob = sc.run()
     assert prob == pytest.approx(0.25, abs=1e-12)
     n = 20000
-    n_acc = sum(r.accepted for r in run_records(9, n, sc))
+    n_acc = int(run_records(9, n, sc).accepted.sum())
     sigma = math.sqrt(n * 0.25 * 0.75)
     assert abs(n_acc - n * 0.25) < 3 * sigma
 
@@ -186,8 +200,8 @@ def test_eigenstate_selection_always_accepts():
     )
     n = 4000
     records = run_records(17, n, sc)
-    assert all(r.accepted for r in records)
-    q = np.array([r.readout_q for r in records])
+    assert records.accepted.all()
+    q = records.readout_q
     se = math.sqrt(0.5 / n)  # pointer variance delta^2/2 = 0.5
     assert abs(q.mean() - 0.3) < 5 * se
 
@@ -206,9 +220,10 @@ def test_rare_amplified_selection_statistics():
 def test_readouts_stay_on_grid():
     sc = three_box("C")
     grid = sc.grid
-    for r in run_records(31, 5000, sc):
-        if r.accepted:
-            assert grid.q_min <= r.readout_q <= grid.q_max
+    records = run_records(31, 5000, sc)
+    q = records.readout_q[records.accepted]
+    assert q.size > 0
+    assert np.all((grid.q_min <= q) & (q <= grid.q_max))
 
 
 # ------------------------------------------------------ counter-based stream
@@ -234,7 +249,8 @@ def test_stream_matches_installed_philox():
         assert u_accept[k] == generator.random() == (int(block[0]) >> 11) / 2.0**53
         assert u_readout[k] == generator.random() == (int(block[1]) >> 11) / 2.0**53
         assert stream_id[k] == block[2]
-        record = records[k]
+        record = sample_run(seed, k, sc)
+        assert record == _record(records, k)
         assert record.rng_stream_id == int(block[2])
         assert record.accepted == bool(u_accept[k] < prob)
         if record.accepted:
@@ -250,7 +266,7 @@ def test_chunk_boundaries_do_not_change_columns(monkeypatch):
     for chunk in (1, 2, 3, 5, 7, 17):
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         assert run_records(8, n, sc) == base
-    assert [sample_run(8, k, sc) for k in range(n)] == list(base)
+    assert [sample_run(8, k, sc) for k in range(n)] == [_record(base, k) for k in range(n)]
 
 
 def test_sample_golden_rows(tmp_path, capsys):
@@ -291,15 +307,15 @@ def test_million_trials_in_bounded_memory():
 
 
 def test_columns_behave_as_records():
+    # Each row of the columns is the record sample_run draws alone, and a
+    # prefix of the columns is the shorter run.
     sc = three_box("C")
     columns = run_records(6, 300, sc)
-    records = list(columns)
-    assert len(columns) == len(records) == 300
-    assert [r.trial_index for r in records] == list(range(300))
-    assert columns[-1] == records[-1]
+    assert len(columns) == 300
+    for k in (0, 1, 150, 299):
+        assert sample_run(6, k, sc) == _record(columns, k)
     assert columns.head(10) == run_records(6, 10, sc)
-    with pytest.raises(IndexError):
-        columns[300]
+    assert len(columns.head(10)) == 10
 
 
 def test_trial_cap_rejects_before_drawing(capsys):

@@ -102,16 +102,34 @@ def test_gaussian_moments_exact():
         assert var_p(state) == pytest.approx(1.0 / (2 * delta**2), rel=1e-10)
 
 
+def _fft_momenta(grid):
+    """The momentum lattice in np.fft storage order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+
+
+def _momentum_wavefunction(state):
+    """phi(p) = (2 pi)^(-1/2) integral psi(q) e^(-ipq) dq on
+    grid.momenta_sorted, from the state's spectrum: the DFT times
+    dq / sqrt(2 pi), with the phase exp(-i p q_min) of the grid's origin."""
+    grid = state.grid
+    band, values = state.spectrum
+    p = grid.momenta_sorted[band]
+    phi = np.zeros(grid.n, dtype=complex)
+    phi[band] = values * (grid.spacing / np.sqrt(2.0 * np.pi)) * np.exp(-1j * p * grid.q_min)
+    return phi
+
+
 def test_momentum_wavefunction_analytic():
     # The transform convention is pinned pointwise: a Gaussian centered at c
-    # maps to (delta^2/pi)^(1/4) exp(-p^2 delta^2 / 2) exp(-i p c).
+    # maps to (delta^2/pi)^(1/4) exp(-p^2 delta^2 / 2) exp(-i p c), and its
+    # momentum density is the modulus squared of that.
     delta, center = 1.5, 0.75
     grid = default_grid(delta, abs(center))
     state = make_gaussian(grid, delta, center)
     p = grid.momenta_sorted
-    phi = state.momentum_wavefunction()
     expected = (delta**2 / np.pi) ** 0.25 * np.exp(-(p**2) * delta**2 / 2) * np.exp(-1j * p * center)
-    assert np.allclose(phi, expected, atol=1e-10)
+    assert np.allclose(_momentum_wavefunction(state), expected, atol=1e-10)
+    assert np.allclose(state.momentum_density(), gaussian_momentum_density(p, delta), atol=1e-10)
 
 
 def test_parseval_momentum_density():
@@ -183,7 +201,7 @@ def test_gaussian_spectrum_matches_fft_of_samples():
     band, _ = pointer._gaussian_spectrum(grid, delta)
     assert (band.start, band.stop) == (0, 256)
     want = np.fft.ifftshift(_sampled_gaussian(grid, delta, 0.0).spectrum[1])
-    p = grid.momenta
+    p = _fft_momenta(grid)
     unaliased = np.exp(-0.5 * (p * delta) ** 2 + 1j * p * grid.q_min)
     unaliased *= np.sqrt(2.0 * np.pi) / grid.spacing * (delta**2 / np.pi) ** 0.25
     assert np.max(np.abs(unaliased - want)) > 1e-6 * np.max(np.abs(want))
@@ -569,7 +587,7 @@ def _einsum_sequential_reference(psi, couplings, phi):
         base_fft = np.fft.fft(pt.samples)
         fam = np.fft.ifft(
             base_fft[None, :]
-            * np.exp(-1j * g * np.array([v for v, _ in clusters])[:, None] * pt.grid.momenta),
+            * np.exp(-1j * g * np.array([v for v, _ in clusters])[:, None] * _fft_momenta(pt.grid)),
             axis=1,
         )
         families.append(fam)
@@ -1047,7 +1065,7 @@ def _reference_post_select(pre, post, operator, pt, g):
     for value, idx in eig.clusters():
         vecs = eig.eigenvectors[:, idx]
         amplitude = np.vdot(post, vecs @ (vecs.conj().T @ pre))
-        packet = np.fft.ifft(base_fft * np.exp(-1j * g * value * grid.momenta))
+        packet = np.fft.ifft(base_fft * np.exp(-1j * g * value * _fft_momenta(grid)))
         conditional += amplitude * packet
     probability = float(np.sum(np.abs(conditional) ** 2) * grid.spacing)
     return conditional / np.sqrt(probability), probability
@@ -1079,17 +1097,21 @@ def test_post_select_matches_per_cluster_reference():
 
 
 def test_branches_are_translated_packets_built_on_request():
+    # The unselected pointer is the mixture of the eigenvalue branches: the
+    # packet translated by g*o, weighted by |P_o psi|^2. post_select needs no
+    # packet, and the joint state holds none.
     grid = default_grid(1.0, 0.6)
     pt = make_gaussian(grid, 1.0)
     operator = np.diag([0.6, 0.6, -0.4]).astype(complex)
     joint = couple(np.ones(3) / np.sqrt(3.0), pt, operator, g=1.0)
     post_select(joint, np.array([1.0, 0.0, 0.0]))
-    assert "branches" not in vars(joint)
-    assert [b.eigenvalue for b in joint.branches] == pytest.approx([-0.4, 0.6])
-    for branch, weight in zip(joint.branches, (1 / 3, 2 / 3)):
-        assert branch.weight == pytest.approx(weight, rel=1e-12)
-        shifted = make_gaussian(grid, 1.0, center=branch.eigenvalue)
-        assert np.max(np.abs(branch.pointer.samples - shifted.samples)) < 1e-12
+    assert set(vars(joint)) == {field.name for field in dataclasses.fields(joint)}
+    want = sum(
+        weight * make_gaussian(grid, 1.0, center=center).position_density()
+        for center, weight in ((-0.4, 1 / 3), (0.6, 2 / 3))
+    )
+    assert np.max(np.abs(joint.position_density() - want)) < 1e-12
+    assert joint.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def _translation_pointers():
@@ -1118,10 +1140,12 @@ def test_translated_spectra_match_the_translation_kernel_bit_for_bit():
                 assert row.tobytes() == np.multiply(spectrum, kernel).tobytes()
         operator = np.diag([0.5, -0.0, -1.0]).astype(complex)
         joint = couple(np.ones(3) / np.sqrt(3.0), pt, operator, g=-0.05)
-        for branch in joint.branches:
-            kernel = pointer._translation_kernel(grid, -0.05, [branch.eigenvalue], [1.0], band)
-            assert branch.pointer.spectrum[0] == band
-            assert branch.pointer.spectrum[1].tobytes() == np.multiply(spectrum, kernel).tobytes()
+        assert joint.band == band
+        _, packets = joint._packets()
+        for (value, _), packet in zip(joint.clusters, packets):
+            kernel = pointer._translation_kernel(grid, -0.05, [value], [1.0], band)
+            want = pointer._inverse_fft(grid, band, np.multiply(spectrum, kernel))
+            assert packet.tobytes() == want.tobytes()
 
 
 def test_unitarity_guard_trips_on_non_orthonormal_eigenvectors():
@@ -1296,7 +1320,7 @@ def test_momentum_density_drops_the_q_min_phase():
     grid = PointerGrid(n=512, q_min=-7.3, q_max=9.1)
     state = make_gaussian(grid, 1.0, center=0.9)
     rho = state.momentum_density()
-    assert np.allclose(rho, np.abs(state.momentum_wavefunction()) ** 2, rtol=0, atol=1e-15)
+    assert np.allclose(rho, np.abs(_momentum_wavefunction(state)) ** 2, rtol=0, atol=1e-15)
 
 
 # ----------------------------------------------------------- inverse FFT

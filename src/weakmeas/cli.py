@@ -245,8 +245,9 @@ def _weak_value_facts(scenario: Scenario) -> dict:
     }
 
 
-def _simulate_summary(scenario: Scenario) -> dict:
-    state, probability = scenario.run()
+def _simulate_summary(
+    scenario: Scenario, state: pointer.PointerState, probability: float
+) -> dict:
     g = scenario.coupling.g
     reference_shift = g * scenario.weak_value.real
     moments = pointer.moments(state)
@@ -285,11 +286,11 @@ def cmd_weak_value(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    summary = _simulate_summary(scenario)
+    state, probability = scenario.run()
+    summary = _simulate_summary(scenario, state, probability)
     sys.stdout.write(textout.render_keyvalues(summary))
     if args.out:
         outdir = _ensure_outdir(args.out)
-        state, _ = scenario.run()
         document = serialize_scenario(scenario)
         header = _header(scenario, "simulate", document=document)
         ext = args.format
@@ -362,7 +363,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rows = []
         for value in values:
             scenario = with_overrides(base, **{spec.parameter: value})
-            summary = _simulate_summary(scenario)
+            summary = _simulate_summary(scenario, *scenario.run())
             g = scenario.coupling.g
             shift_over_g = summary["mean_Q"] / g if g != 0.0 else float("nan")
             rows.append([value, *(summary[k] for k in names[1:-1]), shift_over_g])

@@ -18,7 +18,6 @@ from .errors import ConvergenceError, DimensionMismatchError, InputError, NonHer
 MAX_DIM = 512
 
 HERMITIAN_TOL = 1e-10
-HERMITIAN_TILE = 256
 DEGENERACY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
 PHASE_TOL = 1e-12
@@ -63,24 +62,13 @@ def as_operator(m) -> np.ndarray:
     return arr
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return m as an operator; raise NonHermitianError if max |M - M^dagger|
-    exceeds tol.
-
-    |M - M^dagger| is symmetric, so only the tiles on and above the diagonal
-    are formed; square tiles keep both operands in cache, where the full
-    difference reads one of them through a transposed view.
-    """
+    exceeds HERMITIAN_TOL."""
     m = as_operator(m)
-    n = m.shape[0]
-    defect = 0.0
-    for lo in range(0, n, HERMITIAN_TILE):
-        rows = slice(lo, lo + HERMITIAN_TILE)
-        for hi in range(lo, n, HERMITIAN_TILE):
-            cols = slice(hi, hi + HERMITIAN_TILE)
-            defect = max(defect, float(np.abs(m[rows, cols] - m[cols, rows].conj().T).max()))
-    if defect > tol:
-        raise NonHermitianError(f"max |M - M^dagger| = {defect:.3e} exceeds {tol:.1e}")
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > HERMITIAN_TOL:
+        raise NonHermitianError(f"max |M - M^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
     return m
 
 

@@ -33,9 +33,10 @@ RNG_STREAM = "philox4x64-10"
 # Trials drawn per Philox call; bounds the temporary memory of a draw.
 CHUNK_TRIALS = 2**16
 # Largest trial count of one draw. The columns take 17 bytes per trial:
-# 5 * 10^7 trials ran in 6.4 s at 935 MB peak RSS (sample, no --out, 2-core
-# Xeon), a budget of about 1 GB; far beyond it a draw ends in an
-# out-of-memory kill instead of an error.
+# 5 * 10^7 trials ran in 6.4 s at 935 MB peak RSS at acceptance 0.11
+# (three-box/C), and in 7.5 s at 1613 MB at acceptance 1, the worst case
+# (sample, no --out, 2-core Xeon; budget 10 s / 2 GB). Far beyond it a draw
+# ends in an out-of-memory kill instead of an error.
 MAX_TRIALS = 50_000_000
 # Largest trial count that `sample --out` exports. runs.tsv takes ~36 bytes
 # per trial: 10^7 trials ran in 4.0-7.0 s at 279 MB peak RSS and wrote

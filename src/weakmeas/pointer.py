@@ -683,29 +683,20 @@ class JointState:
     def system_dim(self) -> int:
         return self.basis.dim
 
-    def _packets(self) -> tuple[list[float], np.ndarray]:
-        """Each cluster's weight |P_k psi|^2 and its pointer samples,
-        translated by g*eigenvalue: one batched inverse FFT, made on each
-        call. post_select works from the spectrum and never needs them."""
-        grid, band = self.grid, self.band
-        values = [value for value, _ in self.clusters]
-        spectra = _translated_spectra(grid, band, self.spectrum, self.g, values)
-        weights = [float(np.sum(np.abs(vec) ** 2)) for _, vec in self.clusters]
-        return weights, _inverse_fft(grid, band, spectra)
-
     def norm(self) -> float:
-        weights, packets = self._packets()
-        total = 0.0
-        for weight, packet in zip(weights, packets):
-            total += weight * float(np.sum(np.abs(packet) ** 2) * self.grid.spacing)
-        return sqrt(total)
+        return sqrt(float(self.position_density().sum()) * self.grid.spacing)
 
     def position_density(self) -> np.ndarray:
-        """Pointer position density with the system traced out (no selection)."""
-        rho = np.zeros(self.grid.n)
-        for weight, packet in zip(*self._packets()):
-            rho += weight * np.abs(packet) ** 2
-        return rho
+        """Pointer position density with the system traced out (no
+        selection): the mixture of the branches translated by g*eigenvalue,
+        weighted by |P_k psi|^2, read as a MixedPointerState. post_select
+        works from the spectrum and never needs it."""
+        values = [value for value, _ in self.clusters]
+        weights = np.array([float(np.vdot(vec, vec).real) for _, vec in self.clusters])
+        rows = _translated_spectra(self.grid, self.band, self.spectrum, self.g, values)
+        kept = weights > 0.0
+        unselected = MixedPointerState._held(self.grid, self.band, rows[kept], weights[kept])
+        return unselected.position_density()
 
 
 def _translation_kernel(
@@ -717,8 +708,7 @@ def _translation_kernel(
     packets translated by g*values[k]. Each term is a cos(|s| p) -
     i a sign(s) sin(|s| p) with s = g*values[k], so shifts +s and -s share
     one real cos and one real sin, which together cost less than a complex
-    exp. A band around p = 0 holds p_j and -p_j alike, so both are
-    evaluated once per |p_j| and mirrored (cos even, sin odd).
+    exp.
     """
     # |s| -> [cos coefficient, sin coefficient]
     coefs: dict[float, list[complex]] = {}
@@ -728,13 +718,9 @@ def _translation_kernel(
             pair = coefs.setdefault(abs(shift), [0j, 0j])
             pair[0] += amplitude
             pair[1] += -1j * amplitude if shift > 0.0 else 1j * amplitude
-    # Sorted bin half + j holds p_j = j dp; the band spans j = -below .. above - 1.
-    half = grid.n // 2
-    below, above = half - band.start, band.stop - half
-    size = max(above, below + 1)
-    momenta = grid._momenta_on(slice(half, half + size))  # p_j, j = 0 .. size - 1
-    even = np.zeros(size, dtype=complex)
-    odd = np.zeros(size, dtype=complex)
+    momenta = grid._momenta_on(band)
+    even = np.zeros(momenta.size, dtype=complex)
+    odd = np.zeros(momenta.size, dtype=complex)
     for shift, (cos_coef, sin_coef) in coefs.items():
         if shift == 0.0:
             even += cos_coef
@@ -742,10 +728,7 @@ def _translation_kernel(
         angle = momenta * shift
         even += cos_coef * np.cos(angle)
         odd += sin_coef * np.sin(angle)
-    kernel = np.empty(below + above, dtype=complex)
-    np.add(even[:above], odd[:above], out=kernel[below:])
-    np.subtract(even[below:0:-1], odd[below:0:-1], out=kernel[:below])
-    return kernel
+    return even + odd
 
 
 def couple(psi, pointer: PointerState, operator, g: float) -> JointState:

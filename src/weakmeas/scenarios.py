@@ -43,9 +43,9 @@ MAX_TARGET = 1e6
 MAX_ENSEMBLE_SPINS = 500
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A named, validated measurement configuration.
+    """A named, validated measurement configuration, immutable once built.
 
     ``weak_value`` may be passed by a builder or a file; construction
     re-derives it from the states and observable and rejects mismatches
@@ -70,7 +70,6 @@ class Scenario:
     copies: int = 1
     eigen: linalg.EigenDecomposition = field(init=False, repr=False, compare=False)
     _tsv: twostate.TwoStateVector = field(init=False, repr=False, compare=False)
-    _conditional: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not isinstance(self.coupling, CouplingConfig):
@@ -83,29 +82,30 @@ class Scenario:
                 f"copies (the spins of an ensemble) must be an integer in "
                 f"[1, {MAX_ENSEMBLE_SPINS}], got {self.copies!r}"
             )
-        self.copies = int(self.copies)
-        self._tsv = twostate.TwoStateVector(self.pre, self.post)
-        self.pre = self._tsv.pre
-        self.post = self._tsv.post
-        self.operator = np.array(self.operator, dtype=complex)
-        dim = self.pre.size
-        if self.operator.shape != (dim, dim):
+        tsv = twostate.TwoStateVector(self.pre, self.post)
+        operator = np.array(self.operator, dtype=complex)
+        dim = tsv.pre.size
+        if operator.shape != (dim, dim):
             raise DimensionMismatchError(
-                f"operator shape {self.operator.shape} does not match states of dimension {dim}"
+                f"operator shape {operator.shape} does not match states of dimension {dim}"
             )
-        self.eigen = linalg.eig_hermitian(self.operator)
-        self.operator.setflags(write=False)
-        derived = complex(np.vdot(self.post, self.operator @ self.pre)) / self._tsv.overlap
+        eigen = linalg.eig_hermitian(operator)
+        operator.setflags(write=False)
+        derived = complex(np.vdot(tsv.post, operator @ tsv.pre)) / tsv.overlap
         if self.weak_value is None:
-            self.weak_value = derived
+            weak_value = derived
         else:
-            cached = complex(self.weak_value)
-            if abs(cached - derived) > WEAK_VALUE_RECHECK_TOL * max(1.0, abs(derived)):
+            weak_value = complex(self.weak_value)
+            if abs(weak_value - derived) > WEAK_VALUE_RECHECK_TOL * max(1.0, abs(derived)):
                 raise ScenarioFormatError(
-                    f"cached weak value {cached} does not reproduce from the states "
+                    f"cached weak value {weak_value} does not reproduce from the states "
                     f"(derived {derived})"
                 )
-            self.weak_value = cached
+        for name, value in (
+            ("copies", int(self.copies)), ("_tsv", tsv), ("pre", tsv.pre), ("post", tsv.post),
+            ("operator", operator), ("eigen", eigen), ("weak_value", weak_value),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def system_dim(self) -> int:
@@ -123,14 +123,12 @@ class Scenario:
         return pointer.make_gaussian(self.grid, self.coupling.delta)
 
     def run(self) -> tuple[pointer.PointerState, float]:
-        """Couple, post-select, and cache the conditional pointer state
+        """Couple, post-select, and return the conditional pointer state
         together with the post-selection probability."""
-        if self._conditional is None:
-            joint = pointer._couple(
-                self.pre, self.initial_pointer(), self.eigen, self.coupling.g, self.copies
-            )
-            self._conditional = pointer.post_select(joint, self.post)
-        return self._conditional
+        joint = pointer._couple(
+            self.pre, self.initial_pointer(), self.eigen, self.coupling.g, self.copies
+        )
+        return pointer.post_select(joint, self.post)
 
     def fingerprint(self) -> str:
         """Hex digest identifying the full configuration."""
@@ -169,6 +167,15 @@ def _format_complex(t: complex) -> str:
         return _format_real(t.imag) + "j"
     sign = "+" if t.imag >= 0 else "-"
     return f"{_format_real(t.real)}{sign}{_format_real(abs(t.imag))}j"
+
+
+def _recoupled(scenario: Scenario, coupling: CouplingConfig, grid: PointerGrid) -> Scenario:
+    """A validated scenario's copy with a new coupling and grid; the states,
+    observable and decomposition are shared, not re-checked."""
+    out = copy.copy(scenario)
+    object.__setattr__(out, "coupling", coupling)
+    object.__setattr__(out, "grid", grid)
+    return out
 
 
 def _three_box_scenario(key: str, diag: tuple[float, ...], weak_value: float) -> Scenario:
@@ -214,10 +221,8 @@ def three_box(
     key = box.upper()
     if key not in _THREE_BOX:
         raise ScenarioFormatError(f"unknown box {box!r}; choose A, B, C or ABC")
-    scenario = copy.copy(_THREE_BOX[key])
-    scenario.coupling = CouplingConfig(g=float(g), delta=float(delta))
-    scenario.grid = _make_grid(delta, g, 1.0, abs(scenario.weak_value), grid_n, grid_extent)
-    return scenario
+    grid = _make_grid(delta, g, 1.0, abs(_THREE_BOX[key].weak_value), grid_n, grid_extent)
+    return _recoupled(_THREE_BOX[key], CouplingConfig(g=float(g), delta=float(delta)), grid)
 
 
 def _spin_post_ket(target: complex) -> np.ndarray:
@@ -321,11 +326,8 @@ def with_overrides(
     new_delta = scenario.coupling.delta if delta is None else float(delta)
     n = scenario.grid.n if grid_n is None else int(grid_n)
     eig_bound = float(np.max(np.abs(scenario.eigen.eigenvalues)))
-    out = copy.copy(scenario)
-    out.coupling = CouplingConfig(g=new_g, delta=new_delta)
-    out.grid = _make_grid(new_delta, new_g, eig_bound, abs(scenario.weak_value), n, grid_extent)
-    out._conditional = None
-    return out
+    grid = _make_grid(new_delta, new_g, eig_bound, abs(scenario.weak_value), n, grid_extent)
+    return _recoupled(scenario, CouplingConfig(g=new_g, delta=new_delta), grid)
 
 
 def resolve(

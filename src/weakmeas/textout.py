@@ -29,8 +29,6 @@ ROWS_PER_WRITE = 2**12
 def format_value(x) -> str:
     if isinstance(x, str):
         return x
-    if x is None:
-        return "nan"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):

@@ -168,6 +168,25 @@ def test_weak_value_stdout(capsys):
     assert float(values["overlap_abs"]) == pytest.approx(1 / 3)
 
 
+def test_weak_value_out_file_is_the_header_and_stdout(tmp_path, capsys):
+    path = tmp_path / "wv.txt"
+    code, out, _ = run_cli(
+        capsys, "weak-value", "--scenario", "spin-amp/3+2j", "--out", str(path)
+    )
+    assert code == 0
+    text = path.read_text()
+    header = [line for line in text.splitlines() if line.startswith("# ")]
+    fields = dict(line[2:].split(" = ", 1) for line in header)
+    scenario = resolve("spin-amp/3+2j")
+    assert fields["command"] == "weak-value"
+    assert fields["scenario"] == "spin-amp/3+2j"
+    assert fields["scenario_sha256"] == scenario.fingerprint()
+    assert float(fields["g"]) == scenario.coupling.g
+    assert text == "".join(line + "\n" for line in header) + out
+    assert parse_keyvalues(text) == parse_keyvalues(out)
+    assert float(parse_keyvalues(out)["weak_value_im"]) == pytest.approx(2.0)
+
+
 def test_weak_value_not_anomalous(capsys):
     code, out, _ = run_cli(capsys, "weak-value", "--scenario", "three-box/ABC")
     assert code == 0
@@ -406,6 +425,11 @@ def test_exit_code_input_error(capsys):
     code, _, err = run_cli(capsys, "weak-value", "--scenario", "spin-amp/1e9")
     assert code == 2
     assert "exceeds the supported cap" in err
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", "three-box/C", "--grid-extent", "0"
+    )
+    assert code == 2
+    assert "grid extent must be positive" in err
 
 
 def test_exit_code_sweep_error(capsys):

@@ -91,11 +91,12 @@ def test_non_hermitian_rejected():
         linalg.eig_hermitian(np.array([[0.0, 1e-3], [0.0, 0.0]]))
 
 
-def test_tiled_hermitian_check_reports_untiled_defect():
-    # One entry breaks Hermiticity, in the last (partial) tile row or column
-    # or below the diagonal; the tiled maximum equals the untiled formula's.
+def test_hermitian_check_binds_at_the_tolerance(monkeypatch):
+    # One entry breaks Hermiticity, in the last row or column or below the
+    # diagonal; the check reports max |M - M^dagger|, accepts it at a
+    # HERMITIAN_TOL equal to the defect and rejects it one ulp below.
     rng = np.random.default_rng(11)
-    dim = linalg.HERMITIAN_TILE + 44
+    dim = 300
     base = random_hermitian(rng, dim)
     for i, j in ((dim - 3, dim - 10), (dim - 2, 5), (7, dim - 1)):
         m = base.copy()
@@ -103,9 +104,12 @@ def test_tiled_hermitian_check_reports_untiled_defect():
         defect = float(np.abs(m - m.conj().T).max())
         with pytest.raises(NonHermitianError, match=f"= {defect:.3e} exceeds"):
             linalg.require_hermitian(m)
-        linalg.require_hermitian(m, tol=defect)
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", defect)
+        linalg.require_hermitian(m)
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", float(np.nextafter(defect, 0.0)))
         with pytest.raises(NonHermitianError):
-            linalg.require_hermitian(m, tol=float(np.nextafter(defect, 0.0)))
+            linalg.require_hermitian(m)
+        monkeypatch.undo()
 
 
 def test_hermitian_tolerance_allows_roundoff():
@@ -121,6 +125,13 @@ def test_dimension_checks():
         linalg.as_operator(np.ones((2, 3)))
     with pytest.raises(InputError):
         linalg.as_vector(np.ones((2, 2)))
+
+
+def test_nan_entries_rejected():
+    with pytest.raises(InputError, match="NaN or Inf"):
+        linalg.require_state(np.array([1.0, np.nan]))
+    with pytest.raises(InputError, match="NaN or Inf"):
+        linalg.require_hermitian(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_lapack_failure_raises_convergence_error(monkeypatch):

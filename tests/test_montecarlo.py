@@ -99,6 +99,8 @@ def test_estimate_from_records_guards():
         estimate_from_records(rejected, 0.05)
     with pytest.raises(InputError):
         estimate_from_records([sample_run(3, k, sc) for k in range(3)], 0.05)
+    with pytest.raises(InputError, match="no records"):
+        estimate_from_records(records.head(0), 0.05)
 
 
 def test_single_acceptance_gives_nan_error_bar():

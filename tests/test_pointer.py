@@ -353,6 +353,10 @@ def test_couple_input_validation():
         couple(np.array([1.0, 0.0, 0.0]), pt, SZ, g=0.5)
     with pytest.raises(InputError):
         couple(np.array([1.0, 0.0]), pt, SZ, g=np.inf)
+    with pytest.raises(InputError, match="g must be finite"):
+        pointer.CouplingConfig(g=np.inf, delta=1.0)
+    with pytest.raises(InputError, match="center must be finite"):
+        make_gaussian(grid, 1.0, center=np.inf)
 
 
 def test_conditional_moments_match_overlap_oracle():
@@ -518,6 +522,10 @@ def test_sequential_validation():
         sequential_couple(pre, [(np.eye(3), 0.05, pt)], post)
     with pytest.raises(PostSelectionImpossibleError):
         sequential_couple(np.array([1.0, 0.0]), [(np.eye(2), 0.01, pt)], np.array([0.0, 1.0]))
+    with pytest.raises(InputError, match="coupling 1: g must be finite"):
+        sequential_couple(pre, [(SZ, 0.05, pt), (SZ, np.nan, pt)], post)
+    with pytest.raises(InputError, match="coupling 0: pointer must be a PointerState"):
+        sequential_couple(pre, [(SZ, 0.05, pt.samples)], post)
 
 
 def _random_observable(rng, dim, values=None):
@@ -1141,11 +1149,14 @@ def test_translated_spectra_match_the_translation_kernel_bit_for_bit():
         operator = np.diag([0.5, -0.0, -1.0]).astype(complex)
         joint = couple(np.ones(3) / np.sqrt(3.0), pt, operator, g=-0.05)
         assert joint.band == band
-        _, packets = joint._packets()
-        for (value, _), packet in zip(joint.clusters, packets):
+        # The unselected density sums those packets' densities, weighted by
+        # |P_k psi|^2.
+        want = np.zeros(grid.n)
+        for value, vec in joint.clusters:
             kernel = pointer._translation_kernel(grid, -0.05, [value], [1.0], band)
-            want = pointer._inverse_fft(grid, band, np.multiply(spectrum, kernel))
-            assert packet.tobytes() == want.tobytes()
+            packet = pointer._inverse_fft(grid, band, np.multiply(spectrum, kernel))
+            want += float(np.vdot(vec, vec).real) * np.abs(packet) ** 2
+        assert np.max(np.abs(joint.position_density() - want)) <= 1e-15 * want.max()
 
 
 def test_unitarity_guard_trips_on_non_orthonormal_eigenvectors():

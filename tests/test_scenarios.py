@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from weakmeas import (
     with_overrides,
 )
 from weakmeas.errors import InputError, ScenarioFormatError
+from weakmeas.pointer import CouplingConfig
 from weakmeas.scenarios import MAX_ENSEMBLE_SPINS, MAX_TARGET
 
 
@@ -45,16 +47,13 @@ def test_three_box_rejects_unknown_box():
 
 def test_three_box_builds_share_the_validated_constants():
     # Each build copies the states and projector validated at import; the
-    # coupling, grid and cached run stay its own, and user inputs are still
-    # checked.
+    # coupling and grid stay its own, and user inputs are still checked.
     a = three_box("C")
     b = three_box("C", g=0.1, grid_n=2**10)
     assert a.pre is b.pre and a.post is b.post and a.operator is b.operator
     assert not (a.pre.flags.writeable or a.post.flags.writeable or a.operator.flags.writeable)
     assert (a.coupling.g, a.grid.n) == (0.05, 4096)
     assert (b.coupling.g, b.grid.n) == (0.1, 2**10)
-    a.run()
-    assert b._conditional is None and three_box("C")._conditional is None
     assert serialize_scenario(three_box("C", g=0.1, grid_n=2**10)) == serialize_scenario(b)
     with pytest.raises(InputError):
         three_box("C", grid_n=4096.5)
@@ -112,6 +111,12 @@ def test_ensemble_average_guards():
     with pytest.raises(InputError):
         ensemble_average(MAX_ENSEMBLE_SPINS + 1, 5)
     assert ensemble_average(MAX_ENSEMBLE_SPINS, 5).copies == MAX_ENSEMBLE_SPINS
+    with pytest.raises(InputError, match="n_spins must be an integer"):
+        ensemble_average(2.5, 5)
+    with pytest.raises(InputError, match="must be finite"):
+        ensemble_average(4, float("nan"))
+    with pytest.raises(InputError, match="exceeds the supported cap"):
+        ensemble_average(4, 2e6)
 
 
 def test_default_delta_tracks_g():
@@ -161,6 +166,17 @@ def test_parse_rejects_corruption():
         parse_scenario("\n".join(line for line in doc.splitlines() if not line.startswith("pre")))
     with pytest.raises(ScenarioFormatError):
         parse_scenario(doc.replace("g = ", "g = not-a-number "))
+    with pytest.raises(ScenarioFormatError, match="malformed scenario line"):
+        parse_scenario(doc + "no equals sign\n")
+    pre = next(line for line in doc.splitlines() if line.startswith("pre = "))
+    with pytest.raises(ScenarioFormatError, match="pre 4, post 3, operator 9"):
+        parse_scenario(doc.replace(pre, pre + " 0,0"))
+
+
+def test_parse_skips_blank_and_comment_lines():
+    doc = serialize_scenario(three_box("C"))
+    padded = "# a comment\n\n   \n" + doc.replace("\n", "\n  # note = 1\n\n", 3)
+    assert serialize_scenario(parse_scenario(padded)) == doc
 
 
 def test_fingerprint_distinguishes_parameters():
@@ -206,12 +222,28 @@ def test_resolve_registry_and_files(tmp_path):
         resolve("ensemble/0x5")
 
 
-def test_run_caches_result():
+def test_two_runs_are_bit_identical():
     sc = three_box("C")
-    first = sc.run()
-    second = sc.run()
-    assert first[0] is second[0]
-    assert first[1] == second[1]
+    first_state, first_prob = sc.run()
+    second_state, second_prob = sc.run()
+    assert first_state is not second_state
+    assert first_state.samples.tobytes() == second_state.samples.tobytes()
+    assert first_prob == second_prob
+
+
+def test_scenario_is_frozen_once_built():
+    # A reassigned field would leave the weak value and spectral
+    # decomposition derived from the old one.
+    sc = spin_amplification(100)
+    for name, value in (
+        ("operator", np.diag([2.0, -2.0]).astype(complex)),
+        ("pre", sc.post),
+        ("coupling", CouplingConfig(g=0.5, delta=1.0)),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sc, name, value)
+    assert sc.weak_value == 100
+    assert parse_scenario(serialize_scenario(sc)).weak_value == 100
 
 
 def test_scenario_rejects_mismatched_weak_value():

@@ -126,3 +126,19 @@ def test_write_table_refuses_other_columns_before_writing(column, tmp_path):
     with pytest.raises(ValueError):
         textout.write_table(path, ["a", "b"], [np.arange(2), column])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("names, columns, message", [
+    (["a", "b"], [np.arange(3), np.arange(2.0)], "unequal lengths"),
+    (["a"], [np.arange(2), np.arange(2)], "length mismatch"),
+    (["a", "b", "c"], [np.arange(2), np.arange(2)], "length mismatch"),
+], ids=["unequal-columns", "fewer-names", "more-names"])
+def test_write_table_refuses_mismatched_shapes_before_writing(names, columns, message, tmp_path):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        textout.write_table(buf, names, columns, {"seed": 1})
+    assert buf.getvalue() == ""
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match=message):
+        textout.write_table(path, names, columns)
+    assert not path.exists()

@@ -42,13 +42,9 @@ from .pointer import (
     default_grid,
     gaussian_fidelity,
     make_gaussian,
-    mean_p,
-    mean_q,
     moments,
     post_select,
     sequential_couple,
-    var_p,
-    var_q,
 )
 from .scenarios import (
     Scenario,
@@ -103,8 +99,6 @@ __all__ = [
     "gaussian_fidelity",
     "load_scenario",
     "make_gaussian",
-    "mean_p",
-    "mean_q",
     "moments",
     "parse_scenario",
     "post_select",
@@ -117,8 +111,6 @@ __all__ = [
     "serialize_scenario",
     "spin_amplification",
     "three_box",
-    "var_p",
-    "var_q",
     "weak_value",
     "with_overrides",
 ]

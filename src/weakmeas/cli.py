@@ -41,6 +41,11 @@ MAX_SWEEP_POINTS = 10_000
 # so the prefixes take at most about 1.4 s beside the draw of the largest,
 # which montecarlo.MAX_TRIALS bounds.
 MAX_SWEEP_TRIALS = 10**8
+# Largest product of a g or delta sweep's points and the scenario's
+# eigenvalue clusters, checked once the scenario is resolved. A point costs
+# about 0.35 ms plus 20-45 us per cluster (dense scenario files, 2-core
+# Xeon), so a sweep at the cap takes under 10 s at any cluster count.
+MAX_SWEEP_CLUSTER_POINTS = 50_000
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -358,11 +363,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows.append([int(value), *estimates, probability])
         extras = {"sweep": args.sweep, "seed": args.seed, "rng_stream": montecarlo.RNG_STREAM}
     else:
+        clusters = len(base.eigen.clusters())
+        if len(values) * clusters > MAX_SWEEP_CLUSTER_POINTS:
+            raise SweepSpecError(
+                f"sweep of {len(values)} points on {clusters} eigenvalue clusters exceeds "
+                f"the cap {MAX_SWEEP_CLUSTER_POINTS} on points x clusters"
+            )
         names = [spec.parameter, "mean_Q", "var_Q", "mean_P", "var_P", "probability",
                  "gaussian_fidelity", "shift_over_g"]
         rows = []
         for value in values:
-            scenario = with_overrides(base, **{spec.parameter: value})
+            scenario = with_overrides(base, grid_extent=args.grid_extent, **{spec.parameter: value})
             summary = _simulate_summary(scenario, *scenario.run())
             g = scenario.coupling.g
             shift_over_g = summary["mean_Q"] / g if g != 0.0 else float("nan")

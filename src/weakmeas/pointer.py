@@ -81,6 +81,7 @@ class PointerGrid:
 
     @property
     def extent(self) -> float:
+        """Full width q_max - q_min: twice the half-extent ``grid_extent``."""
         return self.q_max - self.q_min
 
     @property
@@ -611,26 +612,6 @@ def moments(state) -> Moments:
     return Moments(mu_q, var_q_, mu_p, var_p_)
 
 
-def mean_q(state) -> float:
-    """Mean pointer position: the lattice sum of q |psi(q)|^2 dq."""
-    return _position_moments(state)[1]
-
-
-def var_q(state) -> float:
-    """Position variance about the mean."""
-    return _position_moments(state)[2]
-
-
-def mean_p(state) -> float:
-    """Mean pointer momentum, from the momentum-lattice density."""
-    return moments(state).mean_p
-
-
-def var_p(state) -> float:
-    """Momentum variance about the mean."""
-    return moments(state).var_p
-
-
 def gaussian_fidelity(state: PointerState, reference_shift: float, delta: float) -> float:
     """Squared overlap with a fresh width-delta Gaussian at reference_shift.
 
@@ -956,9 +937,9 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
         Impulse couplings applied left to right. Each must satisfy the
         weak-regime guard g * max|o| <= delta/10, with delta the pointer's
         Gaussian-equivalent width sqrt(2 Var Q). That width is computed
-        (var_q, once per distinct pointer), so the bound allows a relative
-        round-off of WEAK_GUARD_RTOL (1e-12): g * max|o| = delta/10 is
-        always accepted.
+        (the position variance, read off the band once per distinct
+        pointer), so the bound allows a relative round-off of
+        WEAK_GUARD_RTOL (1e-12): g * max|o| = delta/10 is always accepted.
     phi : array_like
         Normalized post-selection state.
 
@@ -1013,7 +994,7 @@ def sequential_couple(psi, couplings, phi) -> tuple[list[MixedPointerState], flo
                                [idx.size for _, idx in clusters],
                                float(np.max(np.abs(eig.eigenvalues))))
     distinct = {id(ptr): ptr for _, _, ptr in couplings}
-    widths = {key: sqrt(2.0 * var_q(ptr)) for key, ptr in distinct.items()}  # sqrt(2 Var Q)
+    widths = {key: sqrt(2.0 * _position_moments(ptr)[2]) for key, ptr in distinct.items()}
 
     cluster_values: list[np.ndarray] = []
     bases: list[tuple[np.ndarray, list[int]]] = []

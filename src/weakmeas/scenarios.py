@@ -216,7 +216,8 @@ def three_box(
     The weak values of the box projectors are 1 (A), 1 (B) and -1 (C): a
     weakly probed particle is certainly in A, certainly in B, and acts on
     box C with the opposite sign. ``box`` picks the probed projector, or
-    ``ABC`` for their sum (the identity, weak value 1).
+    ``ABC`` for their sum (the identity, weak value 1). ``grid_extent`` is
+    a half-extent e: the grid becomes [-e, e].
     """
     key = box.upper()
     if key not in _THREE_BOX:
@@ -244,7 +245,8 @@ def spin_amplification(
     Preparation (1, 1)/sqrt(2); post-selection proportional (as a bra) to
     (target + 1, 1 - target). Large |target| makes the selection rare,
     acceptance probability 1/(1 + |target|^2), and moves the conditional
-    pointer far outside the eigenvalue range [-1, 1].
+    pointer far outside the eigenvalue range [-1, 1]. ``grid_extent`` is a
+    half-extent e: the grid becomes [-e, e].
     """
     t = complex(target)
     if not (np.isfinite(t.real) and np.isfinite(t.imag)):
@@ -281,7 +283,8 @@ def ensemble_average(
     in [-1, 1] while the branch spacing shrinks as 1/n, so a single run
     with delta of order g already shows a conditional shift beyond the
     pointer spread. ``delta`` defaults to 2*|g|. The scenario is one spin
-    with copies = n (at most MAX_ENSEMBLE_SPINS).
+    with copies = n (at most MAX_ENSEMBLE_SPINS). ``grid_extent`` is a
+    half-extent e: the grid becomes [-e, e].
     """
     if not isinstance(n_spins, (int, np.integer)) or isinstance(n_spins, bool):
         raise InputError("n_spins must be an integer")
@@ -318,7 +321,9 @@ def with_overrides(
 
     The copy shares the validated states, observable and spectral
     decomposition. Its grid is re-derived by the default sizing policy
-    unless an explicit extent is pinned.
+    unless ``grid_extent``, a half-extent e, pins it to [-e, e].
+    ``PointerGrid.extent`` is the full width q_max - q_min, so passing a
+    grid's ``extent`` back doubles the grid.
     """
     if g is None and delta is None and grid_n is None and grid_extent is None:
         return scenario
@@ -340,7 +345,9 @@ def resolve(
     """Build a scenario from a registry name or a scenario file path.
 
     Registry forms: ``three-box/<A|B|C|ABC>``, ``spin-amp/<target>`` with a
-    real or complex target literal, ``ensemble/<n>x<target>``.
+    real or complex target literal, ``ensemble/<n>x<target>``. The
+    overrides are those of with_overrides: ``grid_extent`` is a half-extent
+    e, and the grid becomes [-e, e].
     """
     if os.path.exists(ref):
         return with_overrides(load_scenario(ref), g, delta, grid_n, grid_extent)

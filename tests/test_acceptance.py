@@ -52,7 +52,7 @@ def test_criterion_2_spin_100_amplification():
     sc = wm.spin_amplification(100, g=1.0, delta=1000.0, grid_n=2**16)
     wv_dev = abs(sc.weak_value - 100.0)
     state, _ = sc.run()
-    shift = wm.mean_q(state)
+    shift = wm.moments(state).mean_q
     fidelity = wm.gaussian_fidelity(state, 100.0, 1000.0)
     elapsed = time.perf_counter() - start
     ok = wv_dev <= 1e-10 and abs(shift - 100.0) <= 1.0 and fidelity >= 0.99 and elapsed < 5.0
@@ -72,9 +72,8 @@ def test_criterion_3_imaginary_weak_value_moves_momentum():
     for g in (1e-3, 1e-2):
         sc = wm.spin_amplification(1j, g=g, delta=10.0)
         state, _ = sc.run()
-        mq = wm.mean_q(state)
-        mp = wm.mean_p(state)
-        predicted = 2.0 * g * 1.0 * wm.var_p(state)
+        mq, _, mp, var_p = wm.moments(state)
+        predicted = 2.0 * g * 1.0 * var_p
         ok = ok and abs(mq) <= 1e-3 * g and abs(mp - predicted) <= 0.05 * abs(predicted)
         rows.append(f"g={g:g}: mean_Q={mq:.1e}, mean_P={mp:.6e}, 2 g Im var_P={predicted:.6e}")
     _report(
@@ -92,7 +91,7 @@ def test_criterion_4_weak_limit_convergence():
     for delta in (4.0, 8.0, 16.0, 32.0, 64.0):
         sc = wm.spin_amplification(5, g=0.1, delta=delta)
         state, _ = sc.run()
-        errors.append(abs(wm.mean_q(state) / 0.1 - 5.0))
+        errors.append(abs(wm.moments(state).mean_q / 0.1 - 5.0))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     centre = sum(orders) / len(orders)
@@ -263,8 +262,8 @@ def test_criterion_9_ensemble_single_shot_regime():
     shift exceeds the pointer spread (shift / sqrt(var_Q) > 1)."""
     sc = wm.ensemble_average(8, 5)
     state, prob = sc.run()
-    shift = wm.mean_q(state)
-    spread = math.sqrt(wm.var_q(state))
+    shift, var_q, _, _ = wm.moments(state)
+    spread = math.sqrt(var_q)
     ratio = shift / spread
     ok = sc.coupling.delta == 2.0 * sc.coupling.g and ratio > 1.0 and prob > 0.0
     _report(

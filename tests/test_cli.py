@@ -148,6 +148,34 @@ def test_sweep_trial_cap_refuses_before_drawing(capsys, monkeypatch):
     assert "over the cap 30" in err
 
 
+def test_sweep_cluster_cap_refuses_before_any_point(capsys, monkeypatch, tmp_path):
+    # A g or delta point costs more the more eigenvalue clusters the
+    # observable has, so points x clusters is capped once the scenario is
+    # resolved. Every registry scenario has at most 2 clusters, so its
+    # sweeps of MAX_SWEEP_POINTS stay accepted.
+    assert 2 * cli.MAX_SWEEP_POINTS <= cli.MAX_SWEEP_CLUSTER_POINTS
+    path = dense_scenario_file(tmp_path)
+    assert len(resolve(path).eigen.clusters()) == 4
+    runs = []
+    run = Scenario.run
+    monkeypatch.setattr(Scenario, "run", lambda self: runs.append(self) or run(self))
+    monkeypatch.setattr(cli, "MAX_SWEEP_CLUSTER_POINTS", 12)
+    argv = ["scan", "--scenario", path, "--sweep"]
+    for text in ("g=0.01,0.02,0.03,0.04", "delta=lin:1:2:4"):
+        code, out, err = run_cli(capsys, *argv, text)
+        assert code == 2
+        assert "4 points on 4 eigenvalue clusters exceeds the cap 12" in err
+        assert out == ""
+    assert runs == []
+    for text in ("g=0.01,0.02,0.03", "delta=lin:1:2:3"):
+        code, out, _ = run_cli(capsys, *argv, text)
+        assert code == 0
+        assert len([line for line in out.splitlines() if line[0] != "#"]) == 3
+    assert len(runs) == 6
+    # An n_trials sweep runs the scenario once, whatever its length.
+    assert run_cli(capsys, *argv, "n_trials=10,20,30,40")[0] == 0
+
+
 def test_bad_trial_count_has_one_message(capsys):
     for n in ("-5", "0"):
         code, _, err = run_cli(capsys, "sample", "--scenario", "three-box/C", "--n", n)
@@ -377,6 +405,23 @@ def test_scan_n_trials_reads_probability_as_sample_does(capsys):
     _, probability = resolve("three-box/C", grid_extent=8.02).run()
     assert [row[5] for row in rows] == [textout.format_value(probability)] * 2
     assert run_cli(capsys, "sample", *argv, "--n", "100")[0] == 0
+
+
+def test_scan_keeps_the_pinned_grid_extent(capsys):
+    # Each g or delta point runs on the [-50, 50] grid that --grid-extent
+    # pins: its row is the run of resolve(..., grid_extent=50), bit for bit.
+    for parameter, values in (("g", (0.05, 0.1)), ("delta", (0.8, 1.2))):
+        code, out, _ = run_cli(capsys, "scan", "--scenario", "three-box/C", "--grid-extent",
+                               "50", "--sweep", f"{parameter}={values[0]},{values[1]}")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 2
+        for row, value in zip(rows, values):
+            scenario = resolve("three-box/C", grid_extent=50, **{parameter: value})
+            assert scenario.grid.q_min == -50.0
+            state, probability = scenario.run()
+            expected = (value, *pointer.moments(state), probability)
+            assert row[:6] == [textout.format_value(x) for x in expected]
 
 
 def test_scan_n_trials_rows_without_acceptance_are_nan(capsys):

@@ -12,13 +12,12 @@ from weakmeas import (
     Scenario,
     estimate_from_records,
     estimate_weak_value,
-    mean_q,
     default_grid,
+    moments,
     run_records,
     sample_run,
     spin_amplification,
     three_box,
-    var_q,
 )
 from weakmeas import montecarlo
 from weakmeas.cli import main
@@ -71,9 +70,10 @@ def test_readout_distribution_moments():
     state, _ = sc.run()
     records = run_records(2, 40000, sc)
     q = records.readout_q[records.accepted]
-    se_mean = math.sqrt(var_q(state) / q.size)
-    assert abs(q.mean() - mean_q(state)) < 5 * se_mean
-    assert abs(q.var(ddof=1) - var_q(state)) < 5 * var_q(state) * math.sqrt(2.0 / q.size)
+    m = moments(state)
+    se_mean = math.sqrt(m.var_q / q.size)
+    assert abs(q.mean() - m.mean_q) < 5 * se_mean
+    assert abs(q.var(ddof=1) - m.var_q) < 5 * m.var_q * math.sqrt(2.0 / q.size)
 
 
 def test_estimate_recovers_weak_value():

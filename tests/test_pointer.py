@@ -23,13 +23,9 @@ from weakmeas.pointer import (
     default_grid,
     gaussian_fidelity,
     make_gaussian,
-    mean_p,
-    mean_q,
     moments,
     post_select,
     sequential_couple,
-    var_p,
-    var_q,
 )
 
 from oracles import (
@@ -96,10 +92,11 @@ def test_gaussian_moments_exact():
         grid = default_grid(delta, abs(center))
         state = make_gaussian(grid, delta, center)
         assert np.sum(state.position_density()) * grid.spacing == pytest.approx(1.0, abs=1e-12)
-        assert mean_q(state) == pytest.approx(center, abs=1e-12 * max(1, abs(center)))
-        assert var_q(state) == pytest.approx(delta**2 / 2, rel=1e-12)
-        assert mean_p(state) == pytest.approx(0.0, abs=1e-12)
-        assert var_p(state) == pytest.approx(1.0 / (2 * delta**2), rel=1e-10)
+        m = moments(state)
+        assert m.mean_q == pytest.approx(center, abs=1e-12 * max(1, abs(center)))
+        assert m.var_q == pytest.approx(delta**2 / 2, rel=1e-12)
+        assert m.mean_p == pytest.approx(0.0, abs=1e-12)
+        assert m.var_p == pytest.approx(1.0 / (2 * delta**2), rel=1e-10)
 
 
 def _fft_momenta(grid):
@@ -381,10 +378,11 @@ def test_conditional_moments_match_overlap_oracle():
         if oracle["probability"] < 1e-4:
             continue
         assert prob == pytest.approx(oracle["probability"], rel=1e-9, abs=1e-12)
-        assert mean_q(state) == pytest.approx(oracle["mean_q"], rel=1e-7, abs=1e-9)
-        assert var_q(state) == pytest.approx(oracle["var_q"], rel=1e-7, abs=1e-9)
-        assert mean_p(state) == pytest.approx(oracle["mean_p"], rel=1e-7, abs=1e-9)
-        assert var_p(state) == pytest.approx(oracle["var_p"], rel=1e-7, abs=1e-9)
+        m = moments(state)
+        assert m.mean_q == pytest.approx(oracle["mean_q"], rel=1e-7, abs=1e-9)
+        assert m.var_q == pytest.approx(oracle["var_q"], rel=1e-7, abs=1e-9)
+        assert m.mean_p == pytest.approx(oracle["mean_p"], rel=1e-7, abs=1e-9)
+        assert m.var_p == pytest.approx(oracle["var_p"], rel=1e-7, abs=1e-9)
         checked += 1
 
 
@@ -436,7 +434,7 @@ def test_degenerate_operator_conditional():
     state, prob = post_select(couple(pre, make_gaussian(grid, 1.0), operator, 0.6), post)
     oracle = conditional_oracle(pre, post, operator, 0.6, 1.0)
     assert prob == pytest.approx(oracle["probability"], rel=1e-10)
-    assert mean_q(state) == pytest.approx(oracle["mean_q"], rel=1e-9)
+    assert moments(state).mean_q == pytest.approx(oracle["mean_q"], rel=1e-9)
 
 
 # ------------------------------------------------------------ sequential
@@ -451,11 +449,11 @@ def test_sequential_single_matches_direct():
     marginals, prob = sequential_couple(pre, [(proj, 0.05, pt)], post)
     direct, prob_direct = post_select(couple(pre, pt, proj, 0.05), post)
     assert prob == pytest.approx(prob_direct, rel=1e-10)
-    m = marginals[0]
-    assert mean_q(m) == pytest.approx(mean_q(direct), abs=1e-10)
-    assert var_q(m) == pytest.approx(var_q(direct), abs=1e-10)
-    assert mean_p(m) == pytest.approx(mean_p(direct), abs=1e-12)
-    assert var_p(m) == pytest.approx(var_p(direct), abs=1e-10)
+    m, want = moments(marginals[0]), moments(direct)
+    assert m.mean_q == pytest.approx(want.mean_q, abs=1e-10)
+    assert m.var_q == pytest.approx(want.var_q, abs=1e-10)
+    assert m.mean_p == pytest.approx(want.mean_p, abs=1e-12)
+    assert m.var_p == pytest.approx(want.var_p, abs=1e-10)
 
 
 def test_sequential_commuting_order_invariance():
@@ -468,8 +466,8 @@ def test_sequential_commuting_order_invariance():
     m_ab, p_ab = sequential_couple(pre, [(pa, 0.05, pt), (pb, 0.08, pt)], post)
     m_ba, p_ba = sequential_couple(pre, [(pb, 0.08, pt), (pa, 0.05, pt)], post)
     assert p_ab == pytest.approx(p_ba, rel=1e-12)
-    assert mean_q(m_ab[0]) == pytest.approx(mean_q(m_ba[1]), abs=1e-12)
-    assert mean_q(m_ab[1]) == pytest.approx(mean_q(m_ba[0]), abs=1e-12)
+    assert moments(m_ab[0]).mean_q == pytest.approx(moments(m_ba[1]).mean_q, abs=1e-12)
+    assert moments(m_ab[1]).mean_q == pytest.approx(moments(m_ba[0]).mean_q, abs=1e-12)
 
 
 def test_sequential_distinct_pointer_widths():
@@ -485,10 +483,11 @@ def test_sequential_distinct_pointer_widths():
     # sigma-z weak value here is exactly 1; both pointers shift by about g
     assert marginals[0].grid is grid_a
     assert marginals[1].grid is grid_b
-    assert mean_q(marginals[0]) == pytest.approx(0.05, abs=5e-3)
-    assert mean_q(marginals[1]) == pytest.approx(0.05, abs=5e-3)
-    assert var_q(marginals[0]) == pytest.approx(0.5, rel=2e-2)
-    assert var_q(marginals[1]) == pytest.approx(0.125, rel=2e-2)
+    m_a, m_b = (moments(m) for m in marginals)
+    assert m_a.mean_q == pytest.approx(0.05, abs=5e-3)
+    assert m_b.mean_q == pytest.approx(0.05, abs=5e-3)
+    assert m_a.var_q == pytest.approx(0.5, rel=2e-2)
+    assert m_b.var_q == pytest.approx(0.125, rel=2e-2)
 
 
 def test_sequential_weak_guard():
@@ -656,7 +655,7 @@ def test_sequential_matches_einsum_reference():
 
 def test_sequential_transforms_a_shared_pointer_once(monkeypatch):
     # The couplings share one pointer, held as its closed-form spectrum; the
-    # weak-regime guard reads its var_q off the band, once (off its samples,
+    # weak-regime guard reads its Var Q off the band, once (off its samples,
     # one more ifft, where there are no band moments). Each coupling makes
     # one batched ifft of its mixture's rows, and the momentum densities
     # come from the rows.
@@ -892,15 +891,14 @@ def _one_row_mixture(state):
 
 def test_one_row_mixture_reads_as_its_pure_state():
     # A PointerState is the mixture of its spectrum alone, with weight 1.0:
-    # its moments, densities and single moments keep their bits.
+    # its moments and densities keep their bits.
     grid = default_grid(1.0, 1.0)
     selected, _ = post_select(couple(np.array([0.8, 0.6]), make_gaussian(grid, 1.0), SZ, 0.7),
                               np.array([1.0, 1.0j]) / np.sqrt(2))
     spin, _ = resolve("spin-amp/1j").run()
     for state in (make_gaussian(grid, 1.0, center=0.3), selected, spin):
         mixed = _one_row_mixture(state)
-        for fn in (moments, mean_q, var_q, mean_p, var_p):
-            assert np.array(fn(mixed)).tobytes() == np.array(fn(state)).tobytes()
+        assert np.array(moments(mixed)).tobytes() == np.array(moments(state)).tobytes()
         assert np.array_equal(mixed.position_density(), state.position_density())
         assert np.array_equal(mixed.momentum_density(), state.momentum_density())
     with pytest.raises(TypeError):
@@ -1009,7 +1007,7 @@ def test_three_box_middle_pointer_shift():
     grid = default_grid(5.0, 1.0)
     pt = make_gaussian(grid, 5.0)
     state, _ = post_select(couple(pre, pt, proj, g=0.1), post)
-    assert mean_q(state) == pytest.approx(-0.1, abs=5e-3)
+    assert moments(state).mean_q == pytest.approx(-0.1, abs=5e-3)
 
 
 def test_gaussian_fidelity_distinguishes_amplification_regimes():
@@ -1040,7 +1038,7 @@ def test_sequential_three_projectors_marginal_shifts():
     assert prob > 0.0
     expected = [g, g, -g]
     for marginal, target in zip(marginals, expected):
-        assert mean_q(marginal) == pytest.approx(target, abs=0.1 * abs(target))
+        assert moments(marginal).mean_q == pytest.approx(target, abs=0.1 * abs(target))
 
 
 def test_post_select_same_eigenstate_is_certain():
@@ -1049,15 +1047,17 @@ def test_post_select_same_eigenstate_is_certain():
     up = np.array([1.0, 0.0], dtype=complex)
     state, prob = post_select(couple(up, pt, SZ, g=2.0), up)
     assert prob == pytest.approx(1.0, abs=1e-12)
-    assert mean_q(state) == pytest.approx(2.0, abs=1e-10)
-    assert var_q(state) == pytest.approx(0.5, rel=1e-10)
+    m = moments(state)
+    assert m.mean_q == pytest.approx(2.0, abs=1e-10)
+    assert m.var_q == pytest.approx(0.5, rel=1e-10)
 
 
 def test_gaussian_minimum_uncertainty_product():
     for delta in (0.25, 1.0, 3.0):
         grid = default_grid(delta, 0.0)
         pt = make_gaussian(grid, delta)
-        assert var_q(pt) * var_p(pt) == pytest.approx(0.25, rel=1e-10)
+        m = moments(pt)
+        assert m.var_q * m.var_p == pytest.approx(0.25, rel=1e-10)
 
 
 # ------------------------------------------------- momentum-space selection
@@ -1180,7 +1180,7 @@ def test_post_select_probability_above_one_guard():
         post_select(inflated, up)
 
 
-def test_moments_match_single_moment_functions():
+def test_moments_read_a_momentum_shift_of_pure_and_mixed_states():
     grid = default_grid(1.0, 1.0)
     pre = np.array([0.8, 0.6], dtype=complex)
     state, _ = post_select(couple(pre, make_gaussian(grid, 1.0), SZ, g=0.7),
@@ -1188,9 +1188,7 @@ def test_moments_match_single_moment_functions():
     marginals, _ = sequential_couple(pre, [(SZ, 0.05, make_gaussian(grid, 1.0))] * 2,
                                      np.array([1.0, 1.0j]) / np.sqrt(2))
     for st in (state, marginals[0]):
-        m = moments(st)
-        assert m == (mean_q(st), var_q(st), mean_p(st), var_p(st))
-        assert m.mean_p != 0.0
+        assert moments(st).mean_p != 0.0
 
 
 def test_position_moments_keep_the_bits_of_the_plain_expressions():
@@ -1320,11 +1318,8 @@ def test_parseval_guard_in_moments():
     band, spectrum = sampled.spectrum
     assert not pointer._band_path(grid, band)
     bad = PointerState._held(grid, band, spectrum * (1.0 + 1e-6), sampled.samples)
-    for fn in (moments, mean_p, var_p):
-        with pytest.raises(NumericalGuardError, match="Parseval"):
-            fn(bad)
-    # position moments need no momentum density
-    assert mean_q(bad) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(NumericalGuardError, match="Parseval"):
+        moments(bad)
 
 
 def test_momentum_density_drops_the_q_min_phase():

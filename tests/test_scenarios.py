@@ -7,14 +7,13 @@ import pytest
 from weakmeas import (
     ensemble_average,
     load_scenario,
-    mean_q,
+    moments,
     parse_scenario,
     resolve,
     save_scenario,
     serialize_scenario,
     spin_amplification,
     three_box,
-    var_q,
     with_overrides,
 )
 from weakmeas.errors import InputError, ScenarioFormatError
@@ -36,8 +35,9 @@ def test_three_box_identity_run_is_exact():
     # The observable is the identity: the pointer shifts rigidly by g and
     # the probability is exactly the selection probability |<post|pre>|^2.
     assert prob == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert mean_q(state) == pytest.approx(0.25, abs=1e-10)
-    assert var_q(state) == pytest.approx(sc.coupling.delta**2 / 2, rel=1e-10)
+    m = moments(state)
+    assert m.mean_q == pytest.approx(0.25, abs=1e-10)
+    assert m.var_q == pytest.approx(sc.coupling.delta**2 / 2, rel=1e-10)
 
 
 def test_three_box_rejects_unknown_box():
